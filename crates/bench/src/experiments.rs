@@ -746,35 +746,38 @@ pub fn ablation_m4_baseline(_effort: Effort) -> String {
     t.to_markdown()
 }
 
-/// A named experiment: report title plus the closure that renders it.
-type NamedExperiment = (&'static str, Box<dyn Fn() -> String>);
+/// A registered experiment: its `run_all --only` name, its report title
+/// and the function that renders it.
+pub type NamedExperiment = (&'static str, &'static str, fn(Effort) -> String);
+
+/// Every experiment, in report order.
+pub const EXPERIMENTS: &[NamedExperiment] = &[
+    ("table3_compression", "Table 3", |_| table3_compression()),
+    ("compression_formula_check", "Eq. 3/4", |_| compression_formula_check()),
+    ("fig7_layer_optimizations", "Figure 7", fig7_layer_optimizations),
+    ("fig8_activation_speedup", "Figure 8", fig8_activation_speedup),
+    ("table7_full_network", "Table 7", table7_full_network),
+    ("table1_group_size", "Table 1", table1_group_size),
+    ("fig4_pool_dimension", "Figure 4", fig4_pool_dimension),
+    ("table4_pool_size", "Table 4", table4_pool_size),
+    ("table5_lut_bitwidth", "Table 5", table5_lut_bitwidth),
+    ("table6_activation_bitwidth", "Table 6", table6_activation_bitwidth),
+    ("sec55_binarized", "S5.5", sec55_binarized),
+    ("footnote1_fc_compression", "Footnote 1", footnote1_fc_compression),
+    ("ablation_metric", "Metric ablation", ablation_metric),
+    ("ablation_lut_order", "LUT-order ablation", ablation_lut_order),
+    ("ablation_m4_baseline", "M4-baseline ablation", ablation_m4_baseline),
+];
 
 /// Runs every experiment and returns the combined report.
 pub fn run_all(effort: Effort) -> String {
     let mut out = String::new();
-    let experiments: Vec<NamedExperiment> = vec![
-        ("Table 3", Box::new(table3_compression)),
-        ("Eq. 3/4", Box::new(compression_formula_check)),
-        ("Figure 7", Box::new(move || fig7_layer_optimizations(effort))),
-        ("Figure 8", Box::new(move || fig8_activation_speedup(effort))),
-        ("Table 7", Box::new(move || table7_full_network(effort))),
-        ("Table 1", Box::new(move || table1_group_size(effort))),
-        ("Figure 4", Box::new(move || fig4_pool_dimension(effort))),
-        ("Table 4", Box::new(move || table4_pool_size(effort))),
-        ("Table 5", Box::new(move || table5_lut_bitwidth(effort))),
-        ("Table 6", Box::new(move || table6_activation_bitwidth(effort))),
-        ("S5.5", Box::new(move || sec55_binarized(effort))),
-        ("Footnote 1", Box::new(move || footnote1_fc_compression(effort))),
-        ("Metric ablation", Box::new(move || ablation_metric(effort))),
-        ("LUT-order ablation", Box::new(move || ablation_lut_order(effort))),
-        ("M4-baseline ablation", Box::new(move || ablation_m4_baseline(effort))),
-    ];
-    for (name, run_fn) in experiments {
-        eprintln!("[run_all] running {name} ...");
+    for (_, title, run_fn) in EXPERIMENTS {
+        eprintln!("[run_all] running {title} ...");
         let started = std::time::Instant::now();
-        out.push_str(&run_fn());
+        out.push_str(&run_fn(effort));
         out.push('\n');
-        eprintln!("[run_all] {name} done in {:.1}s", started.elapsed().as_secs_f32());
+        eprintln!("[run_all] {title} done in {:.1}s", started.elapsed().as_secs_f32());
     }
     out
 }

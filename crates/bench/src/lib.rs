@@ -2,9 +2,10 @@
 //! evaluation section.
 //!
 //! Each experiment is a library function returning a rendered report (so it
-//! is testable and composable); the `src/bin/*` binaries are thin wrappers.
-//! `run_all` executes everything and writes the measured results used by
-//! `EXPERIMENTS.md`.
+//! is testable and composable), registered by name in
+//! [`experiments::EXPERIMENTS`]. The `run_all` binary executes everything
+//! and writes the measured results used by `EXPERIMENTS.md`;
+//! `run_all --only NAME` renders one experiment.
 //!
 //! Experiments come in two families:
 //!

@@ -15,7 +15,7 @@
 
 use crate::options::{BackendKind, ResolvedBackend};
 use crate::scratch::Scratch;
-use crate::swar::resolve_popcount_max_bits;
+use crate::swar::{resolve_popcount_max_bits, POPCOUNT_MAX_BITS};
 use wp_core::reference::{ActEncoding, PooledConvShape};
 use wp_core::LookupTable;
 use wp_kernels::OutputQuant;
@@ -135,9 +135,9 @@ pub struct NativeBackend {
     simd: ResolvedBackend,
     /// Largest activation bitwidth routed through the bit-plane popcount
     /// kernels (solo direct/dense; the batched path further caps at
-    /// [`crate::swar::POPCOUNT_BATCH_MAX_BITS`]). Resolved at build time
-    /// from the explicit engine option or `WP_POPCOUNT_MAX_BITS`; `0`
-    /// disables the popcount path. Routing only — every path computes
+    /// [`crate::swar::POPCOUNT_BATCH_MAX_BITS`]). The built-in
+    /// [`crate::swar::POPCOUNT_MAX_BITS`] unless the engine option
+    /// overrides it; `0` disables the popcount path. Routing only — every path computes
     /// identical integers.
     popcount_max_bits: u8,
 }
@@ -209,7 +209,7 @@ impl NativeBackend {
             encoding,
             bit_weights,
             simd: backend.resolve(),
-            popcount_max_bits: resolve_popcount_max_bits(None),
+            popcount_max_bits: POPCOUNT_MAX_BITS,
         }
     }
 
@@ -496,38 +496,6 @@ impl NativeBackend {
             shape,
             prep,
             &RawOut,
-            &mut Scratch::new(),
-            &mut outs,
-        );
-        outs
-    }
-
-    /// [`NativeBackend::conv_pooled_prepared_batch`] with the bias +
-    /// requant finish fused into the scatter write-out: each output
-    /// leaves its accumulator register straight through
-    /// [`OutputQuant::apply_value`] instead of being stored raw and
-    /// re-walked by a separate `apply_plane` pass. Element-for-element
-    /// (and panic-for-panic) identical to accumulating raw and then
-    /// applying [`OutputQuant::apply_plane`] — see [`WriteOut`].
-    ///
-    /// # Panics
-    ///
-    /// As [`NativeBackend::conv_pooled_prepared_batch`], plus the
-    /// bias/requant panics of [`OutputQuant::apply_plane`].
-    pub fn conv_pooled_prepared_batch_fused(
-        &self,
-        batch: &[&[i32]],
-        shape: &PooledConvShape,
-        prep: &PreparedIndices,
-        bias: &[i32],
-        oq: &OutputQuant,
-    ) -> Vec<Vec<i32>> {
-        let mut outs = Vec::with_capacity(batch.len());
-        self.conv_pooled_prepared_batch_core(
-            batch,
-            shape,
-            prep,
-            &FusedOut { bias, oq },
             &mut Scratch::new(),
             &mut outs,
         );
@@ -915,10 +883,10 @@ impl TileAcc for i32 {
 }
 
 /// How a batched tile kernel writes a finished accumulator out: raw
-/// checked narrowing (the `accumulate_batch` surface), or the bias +
+/// checked narrowing (the public raw `*_batch` functions), or the bias +
 /// requant arithmetic fused in as the value leaves registers (the
-/// `run_batch` surface) — dropping the separate finish pass that used
-/// to re-walk every output plane.
+/// [`crate::Kernel::run_batch`] overrides) — dropping the separate finish
+/// pass that used to re-walk every output plane.
 ///
 /// `emit` must be arithmetic-identical — **including the panics** — to
 /// the raw narrowing followed by [`OutputQuant::apply_plane`]:
@@ -1037,33 +1005,6 @@ pub fn conv_direct_batch<S: AsRef<[i32]>>(
 ) -> Vec<Vec<i32>> {
     let mut outs = Vec::with_capacity(batch.len());
     conv_direct_batch_core(batch, shape, weights, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// [`conv_direct_batch`] with the bias+requant finish fused into the tile
-/// write-out (see [`NativeBackend::conv_pooled_prepared_batch_fused`] for
-/// the exactness contract).
-///
-/// # Panics
-///
-/// As [`conv_direct_batch`], plus the bias/requant panics of
-/// [`OutputQuant::apply_plane`].
-pub fn conv_direct_batch_fused(
-    batch: &[&[i32]],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    bias: &[i32],
-    oq: &OutputQuant,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    conv_direct_batch_core(
-        batch,
-        shape,
-        weights,
-        &FusedOut { bias, oq },
-        &mut Scratch::new(),
-        &mut outs,
-    );
     outs
 }
 
@@ -1205,33 +1146,6 @@ pub fn dwconv_acc_batch<S: AsRef<[i32]>>(
     outs
 }
 
-/// [`dwconv_acc_batch`] with the bias+requant finish fused into the tile
-/// write-out (see [`NativeBackend::conv_pooled_prepared_batch_fused`] for
-/// the exactness contract).
-///
-/// # Panics
-///
-/// As [`dwconv_acc_batch`], plus the bias/requant panics of
-/// [`OutputQuant::apply_plane`].
-pub fn dwconv_acc_batch_fused(
-    batch: &[&[i32]],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    bias: &[i32],
-    oq: &OutputQuant,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    dwconv_acc_batch_core(
-        batch,
-        shape,
-        weights,
-        &FusedOut { bias, oq },
-        &mut Scratch::new(),
-        &mut outs,
-    );
-    outs
-}
-
 /// The batched depthwise engine (see
 /// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
 /// outs/scratch contract).
@@ -1344,33 +1258,6 @@ pub fn dense_acc_batch<S: AsRef<[i32]>>(
 ) -> Vec<Vec<i32>> {
     let mut outs = Vec::with_capacity(batch.len());
     dense_acc_batch_core(batch, weights, out_features, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// [`dense_acc_batch`] with the bias+requant finish fused into the tile
-/// write-out (see [`NativeBackend::conv_pooled_prepared_batch_fused`] for
-/// the exactness contract).
-///
-/// # Panics
-///
-/// As [`dense_acc_batch`], plus the bias/requant panics of
-/// [`OutputQuant::apply_plane`].
-pub fn dense_acc_batch_fused(
-    batch: &[&[i32]],
-    weights: &[i8],
-    out_features: usize,
-    bias: &[i32],
-    oq: &OutputQuant,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    dense_acc_batch_core(
-        batch,
-        weights,
-        out_features,
-        &FusedOut { bias, oq },
-        &mut Scratch::new(),
-        &mut outs,
-    );
     outs
 }
 
@@ -1711,27 +1598,14 @@ pub fn residual_add(a: &[i32], b: &[i32], out_bits: u8) -> Vec<i32> {
 /// Batched [`maxpool`]: full tiles of [`NativeBackend::BATCH_TILE`] images
 /// run the window loop once with the max taken across batch-minor lanes;
 /// tail images fall back to the solo kernel. Bit-identical to mapping
-/// [`maxpool`] over the batch.
+/// [`maxpool`] over the batch (see
+/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
+/// outs/scratch contract).
 ///
 /// # Panics
 ///
 /// Panics if the window exceeds the input or an image's size does not
 /// match `ch * h * w`.
-pub fn maxpool_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    ch: usize,
-    h: usize,
-    w: usize,
-    size: usize,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    maxpool_batch_core(batch, ch, h, w, size, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// The batched max-pool engine (see
-/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract).
 pub(crate) fn maxpool_batch_core<S: AsRef<[i32]>>(
     batch: &[S],
     ch: usize,
@@ -1787,27 +1661,14 @@ pub(crate) fn maxpool_batch_core<S: AsRef<[i32]>>(
 
 /// Batched [`avgpool`]: lane-parallel window sums with the same rounded
 /// integer division as the solo kernel. Bit-identical to mapping
-/// [`avgpool`] over the batch.
+/// [`avgpool`] over the batch (see
+/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
+/// outs/scratch contract).
 ///
 /// # Panics
 ///
 /// Panics if the window exceeds the input or an image's size does not
 /// match `ch * h * w`.
-pub fn avgpool_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    ch: usize,
-    h: usize,
-    w: usize,
-    size: usize,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    avgpool_batch_core(batch, ch, h, w, size, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// The batched average-pool engine (see
-/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract).
 pub(crate) fn avgpool_batch_core<S: AsRef<[i32]>>(
     batch: &[S],
     ch: usize,

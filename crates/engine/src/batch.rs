@@ -1,16 +1,16 @@
 //! Threaded batch inference.
 //!
-//! [`BatchRunner`] fans a batch of inputs across scoped worker threads.
-//! The prepared network is shared read-only; each worker owns a private
-//! copy of the flattened LUT blocks (the per-core "SRAM" analogue of the
-//! paper's §4.2 cache) plus a private [`crate::Scratch`] arena that
-//! recycles every working buffer across the worker's items, and work is
-//! distributed by an atomic cursor so fast workers steal the tail of the
-//! batch instead of idling.
+//! [`BatchRunner`] splits a batch into one contiguous chunk per scoped
+//! worker thread. The prepared network is shared read-only; each worker
+//! owns a private copy of the flattened LUT blocks (the per-core "SRAM"
+//! analogue of the paper's §4.2 cache) and runs its chunk through
+//! [`PreparedNet::run_batch_into`] against a [`crate::Scratch`] arena it
+//! builds for that call. The LUT copy and the arena are per call, not
+//! kept across calls: callers that need the zero-allocation steady state
+//! hold their own arena and call `run_batch_into` directly.
 
 use crate::bundle::PreparedNet;
 use crate::scratch::Scratch;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fixed-width pool of inference workers over one [`PreparedNet`].
 #[derive(Debug, Clone, Copy)]
@@ -43,104 +43,59 @@ impl BatchRunner {
     }
 
     /// Runs every input through `net`, returning outputs in input order.
-    /// Results are identical for any worker count (each inference is
-    /// independent and the arithmetic is deterministic). An empty batch
-    /// returns empty without touching any thread machinery.
-    ///
-    /// Work is distributed by an atomic cursor (fast workers steal the
-    /// tail), which suits heterogeneous per-item cost; serving coalescers
-    /// with uniform items should prefer [`BatchRunner::run_refs`], which
-    /// additionally amortizes work across each worker's chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size, or if a worker thread
-    /// panics (the panic is propagated).
-    pub fn run(&self, net: &PreparedNet, inputs: &[Vec<i32>]) -> Vec<Vec<i32>> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        net.validate_batch_inputs(inputs.iter().map(|x| x.len()));
-        let workers = self.planned_workers(inputs.len());
-        if workers <= 1 {
-            return inputs.iter().map(|x| net.run_one(x)).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Vec<i32>>> = vec![None; inputs.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        // Per-worker LUT cache and scratch arena: no
-                        // sharing (and after warmup, no allocation) on
-                        // the hot path.
-                        let backend = net.worker_backend();
-                        let mut scratch = Scratch::new();
-                        let mut done = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= inputs.len() {
-                                break;
-                            }
-                            done.push((i, net.run_one_scratch(&backend, &inputs[i], &mut scratch)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, out) in handle.join().expect("batch worker panicked") {
-                    results[i] = Some(out);
-                }
-            }
-        });
-        results.into_iter().map(|r| r.expect("every input processed")).collect()
-    }
-
-    /// The borrowed-input path for request coalescers: runs a batch of
-    /// borrowed activation slices (e.g. one per queued request, with no
-    /// copy into an owned batch) and returns outputs in input order.
     ///
     /// The batch is split into contiguous per-worker chunks and each chunk
-    /// executes through [`PreparedNet::run_batch_with`], so the batched
-    /// pooled-conv kernel amortizes tap-index decoding across the chunk —
-    /// on top of (not instead of) thread parallelism. Outputs are
-    /// bit-identical to [`BatchRunner::run`] and to per-item
-    /// [`PreparedNet::run_one`] for any worker count. Degenerate batches
-    /// are handled explicitly: empty input returns empty, and a batch
-    /// smaller than the thread count spawns only `batch_len` workers.
+    /// executes through [`PreparedNet::run_batch_into`], so the batched
+    /// kernels amortize weight and tap decoding across the chunk — on top
+    /// of (not instead of) thread parallelism. Each worker gets its own
+    /// LUT-cache copy and a fresh [`Scratch`] arena for the call. Inputs
+    /// may be owned (`Vec<i32>`) or borrowed (`&[i32]`, e.g. one per
+    /// queued request with no copy into an owned batch).
+    ///
+    /// Outputs are bit-identical to per-item [`PreparedNet::run_one`] for
+    /// any worker count. An empty batch returns empty without touching any
+    /// thread machinery, and a batch smaller than the thread count spawns
+    /// only `batch_len` workers.
     ///
     /// # Panics
     ///
-    /// Panics if any input has the wrong size, or if a worker thread
-    /// panics (the panic is propagated).
-    pub fn run_refs(&self, net: &PreparedNet, inputs: &[&[i32]]) -> Vec<Vec<i32>> {
+    /// Panics if any input has the wrong size (naming its batch index), or
+    /// if a worker thread panics (the panic is propagated).
+    pub fn run<S: AsRef<[i32]> + Sync>(&self, net: &PreparedNet, inputs: &[S]) -> Vec<Vec<i32>> {
         if inputs.is_empty() {
             return Vec::new();
         }
-        net.validate_batch_inputs(inputs.iter().map(|x| x.len()));
         let workers = self.planned_workers(inputs.len());
+        let mut outs = Vec::new();
         if workers <= 1 {
-            return net.run_batch(inputs);
+            net.run_batch_into(net.backend(), inputs, &mut Scratch::new(), &mut outs);
+            return outs;
         }
+        // Validate the whole batch here so a bad input is reported by its
+        // batch index, not a chunk-local one from inside a worker.
+        net.validate_batch_inputs(inputs.iter().map(|x| x.as_ref().len()));
         let chunk = inputs.len().div_ceil(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = inputs
                 .chunks(chunk)
                 .map(|chunk| {
                     scope.spawn(move || {
-                        // Per-worker LUT cache and scratch arena: no
-                        // sharing on the hot path.
-                        let backend = net.worker_backend();
-                        let mut scratch = Scratch::new();
-                        net.run_batch_scratch(&backend, chunk, &mut scratch)
+                        let mut outs = Vec::new();
+                        net.run_batch_into(
+                            &net.worker_backend(),
+                            chunk,
+                            &mut Scratch::new(),
+                            &mut outs,
+                        );
+                        outs
                     })
                 })
                 .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
-        })
+            for handle in handles {
+                outs.extend(handle.join().expect("batch worker panicked"));
+            }
+        });
+        outs
     }
 }
 
@@ -180,13 +135,18 @@ mod tests {
         DeployBundle { spec, pool, lut, convs: vec![ConvPayload::Pooled { indices }], act_bits: 8 }
     }
 
+    /// Per-item solo reference outputs.
+    fn solo(net: &PreparedNet, inputs: &[Vec<i32>]) -> Vec<Vec<i32>> {
+        inputs.iter().map(|x| net.run_one(x)).collect()
+    }
+
     #[test]
     fn outputs_identical_across_thread_counts() {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
         let inputs = net.fabricate_inputs(13, 4);
-        let serial = BatchRunner::new(1).run(&net, &inputs);
-        for threads in [2, 4, 7] {
-            assert_eq!(BatchRunner::new(threads).run(&net, &inputs), serial, "{threads} threads");
+        let expected = solo(&net, &inputs);
+        for threads in [1, 2, 4, 7] {
+            assert_eq!(BatchRunner::new(threads).run(&net, &inputs), expected, "{threads} threads");
         }
     }
 
@@ -203,8 +163,10 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
-        assert!(BatchRunner::new(4).run(&net, &[]).is_empty());
-        assert!(BatchRunner::new(4).run_refs(&net, &[]).is_empty());
+        let owned: &[Vec<i32>] = &[];
+        let borrowed: &[&[i32]] = &[];
+        assert!(BatchRunner::new(4).run(&net, owned).is_empty());
+        assert!(BatchRunner::new(4).run(&net, borrowed).is_empty());
     }
 
     #[test]
@@ -222,24 +184,20 @@ mod tests {
         // And a batch shorter than the thread count still runs correctly.
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
         let inputs = net.fabricate_inputs(3, 17);
-        let expected: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
+        let expected = solo(&net, &inputs);
         assert_eq!(runner.run(&net, &inputs), expected);
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-        assert_eq!(runner.run_refs(&net, &refs), expected);
+        assert_eq!(runner.run(&net, &refs), expected);
     }
 
     #[test]
-    fn run_refs_matches_run_across_thread_counts() {
+    fn borrowed_inputs_match_run_one_across_thread_counts() {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
         let inputs = net.fabricate_inputs(13, 29);
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-        let serial = BatchRunner::new(1).run(&net, &inputs);
+        let expected = solo(&net, &inputs);
         for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                BatchRunner::new(threads).run_refs(&net, &refs),
-                serial,
-                "{threads} threads"
-            );
+            assert_eq!(BatchRunner::new(threads).run(&net, &refs), expected, "{threads} threads");
         }
     }
 }

@@ -3,12 +3,20 @@
 //! A [`PreparedNet`] walks the bundle's [`wp_core::netspec::NetSpec`] once,
 //! resolves every layer's activation shapes, pairs each conv with its
 //! payload (pooled index map or direct int8 weights), and fixes the
-//! per-layer requantization — after which [`PreparedNet::run_one`] executes
-//! an inference with zero per-call setup. The bundle stores conv payloads
-//! only, so depthwise/dense weights are fabricated deterministically from
-//! [`EngineOptions::weight_seed`] and biases are zero — the same convention
-//! as the simulator's `wp_kernels::network::run_network`, which makes
-//! side-by-side throughput comparisons apples-to-apples.
+//! per-layer requantization. The plan then runs with zero per-call setup
+//! through three entry points:
+//!
+//! * [`PreparedNet::run_one`] — the solo reference, one image through
+//!   each kernel's solo path;
+//! * [`PreparedNet::run_batch`] — the convenience batch form;
+//! * [`PreparedNet::run_batch_into`] — the scratch-arena core that
+//!   `run_batch` and [`crate::BatchRunner::run`] execute through.
+//!
+//! The bundle stores conv payloads only, so depthwise/dense weights are
+//! fabricated deterministically from [`EngineOptions::weight_seed`] and
+//! biases are zero — the same convention as the simulator's
+//! `wp_kernels::network::run_network`, which makes side-by-side
+//! throughput comparisons apples-to-apples.
 
 use crate::backend::{LutCache, NativeBackend};
 use crate::kernel::{
@@ -253,92 +261,45 @@ impl PreparedNet {
         (0..n).map(|_| (0..c * h * w).map(|_| rng.gen_range(lo..=hi)).collect()).collect()
     }
 
-    /// Runs one inference with the plan's own LUT cache.
+    /// Runs one inference, layer by layer through each kernel's
+    /// [`Kernel::run_solo`]: the solo reference that the batched path is
+    /// pinned bit-identical to. Uses the plan's own LUT cache and a fresh
+    /// scratch arena per call; for the allocation-free steady state, run
+    /// a one-image batch through [`PreparedNet::run_batch_into`].
     ///
     /// # Panics
     ///
     /// Panics if `input` does not match the network's input size.
     pub fn run_one(&self, input: &[i32]) -> Vec<i32> {
-        self.run_one_with(&self.backend, input)
-    }
-
-    /// Runs one inference through a caller-provided backend (each
-    /// [`crate::BatchRunner`] worker passes its own LUT-cache copy). The
-    /// backend must be a clone of this plan's backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match the network's input size.
-    pub fn run_one_with(&self, backend: &NativeBackend, input: &[i32]) -> Vec<i32> {
-        let mut scratch = Scratch::new();
-        self.run_one_scratch(backend, input, &mut scratch)
-    }
-
-    /// [`PreparedNet::run_one_with`] against a caller-owned [`Scratch`]
-    /// arena: every intermediate plane comes from (and returns to) the
-    /// arena, so repeated runs against the same warmed arena allocate
-    /// only the returned output buffer. Hand the output back via
-    /// [`Scratch::put_i32`] — or use [`PreparedNet::run_one_into`] — for
-    /// the fully zero-allocation steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match the network's input size.
-    pub fn run_one_scratch(
-        &self,
-        backend: &NativeBackend,
-        input: &[i32],
-        scratch: &mut Scratch,
-    ) -> Vec<i32> {
         let (c, h, w) = self.input;
         assert_eq!(input.len(), c * h * w, "input size mismatch");
-        let mut codes = scratch.take_i32(input.len());
-        codes.copy_from_slice(input);
+        let backend = &self.backend;
+        let mut scratch = Scratch::new();
+        let mut codes = input.to_vec();
         if self.profile.is_none() && self.sink.is_none() {
             // The untraced hot path: one Option check per run, zero
             // per-layer overhead (pinned by the trace_overhead bench).
             for layer in &self.layers {
                 let ctx = layer.ctx(backend, self.act_bits);
-                let next = layer.kernel.run_solo(&ctx, &codes, scratch);
+                let next = layer.kernel.run_solo(&ctx, &codes, &mut scratch);
                 scratch.put_i32(std::mem::replace(&mut codes, next));
             }
             return codes;
         }
 
-        let run_tier = trace::tier_code(self.backend.simd());
+        let run_tier = trace::tier_code(backend.simd());
         let run_start = trace::now_ns();
         for (li, layer) in self.layers.iter().enumerate() {
             let ctx = layer.ctx(backend, self.act_bits);
             let tier = layer.kernel.span_tier(&ctx, false);
             let t0 = trace::now_ns();
-            let next = layer.kernel.run_solo(&ctx, &codes, scratch);
+            let next = layer.kernel.run_solo(&ctx, &codes, &mut scratch);
             scratch.put_i32(std::mem::replace(&mut codes, next));
             let dur = trace::now_ns().saturating_sub(t0);
             self.observe_layer(li, 1, tier, t0, dur);
         }
         self.observe_run(1, run_tier, run_start);
         codes
-    }
-
-    /// Runs one inference entirely out of the arena, writing the output
-    /// codes into `out` (cleared and refilled). With a warmed `scratch`
-    /// and an `out` reused across calls, this is the zero-heap-allocation
-    /// serving path (pinned by `tests/zero_alloc.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match the network's input size.
-    pub fn run_one_into(
-        &self,
-        backend: &NativeBackend,
-        input: &[i32],
-        scratch: &mut Scratch,
-        out: &mut Vec<i32>,
-    ) {
-        let codes = self.run_one_scratch(backend, input, scratch);
-        out.clear();
-        out.extend_from_slice(&codes);
-        scratch.put_i32(codes);
     }
 
     /// Derives per-layer requant multipliers from synthetic activation
@@ -397,16 +358,18 @@ impl PreparedNet {
         multipliers
     }
 
-    /// Runs a whole batch through the plan with the plan's own LUT cache,
-    /// returning outputs in input order. See
-    /// [`PreparedNet::run_batch_with`].
+    /// Runs a whole batch through the plan with the plan's own LUT cache
+    /// and a fresh scratch arena, returning outputs in input order — the
+    /// convenience form of [`PreparedNet::run_batch_into`].
     ///
     /// # Panics
     ///
-    /// Panics if any input has the wrong size (validated up front, with
-    /// the offending batch index in the message).
+    /// Panics if any input has the wrong size, as in
+    /// [`PreparedNet::run_batch_into`].
     pub fn run_batch(&self, inputs: &[&[i32]]) -> Vec<Vec<i32>> {
-        self.run_batch_with(&self.backend, inputs)
+        let mut outs = Vec::new();
+        self.run_batch_into(&self.backend, inputs, &mut Scratch::new(), &mut outs);
+        outs
     }
 
     /// Runs a whole batch through the plan layer by layer, each layer
@@ -418,45 +381,56 @@ impl PreparedNet {
     /// [`PreparedNet::run_one`] on each input (pinned by test), so serving
     /// layers may coalesce requests freely.
     ///
+    /// `backend` must be a clone of this plan's backend (each
+    /// [`crate::BatchRunner`] worker passes its own LUT-cache copy from
+    /// [`PreparedNet::worker_backend`]). Input staging, every
+    /// intermediate plane set and every kernel working set come from
+    /// (and return to) `scratch`. The output planes are swapped into
+    /// `outs` (resized to the batch), and the buffers `outs` held go back
+    /// to the arena. With a warmed `scratch` and `outs` reused across
+    /// calls, this is the zero-heap-allocation serving path (pinned by
+    /// `tests/zero_alloc.rs`).
+    ///
     /// # Panics
     ///
     /// Panics if any input has the wrong size. All inputs are validated
     /// up front — before any layer executes — and the panic message names
     /// the offending batch index, not a position buried inside a layer
     /// loop.
-    pub fn run_batch_with(&self, backend: &NativeBackend, inputs: &[&[i32]]) -> Vec<Vec<i32>> {
-        let mut scratch = Scratch::new();
-        self.run_batch_scratch(backend, inputs, &mut scratch)
-    }
-
-    /// [`PreparedNet::run_batch_with`] against a caller-owned [`Scratch`]
-    /// arena: input staging, every intermediate plane set and every
-    /// kernel working set come from (and return to) the arena. Hand the
-    /// returned planes back via [`Scratch::put_planes`] — or use
-    /// [`PreparedNet::run_batch_into`] — for the fully zero-allocation
-    /// steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size, as in
-    /// [`PreparedNet::run_batch_with`].
-    pub fn run_batch_scratch(
+    pub fn run_batch_into<S: AsRef<[i32]>>(
         &self,
         backend: &NativeBackend,
-        inputs: &[&[i32]],
+        inputs: &[S],
         scratch: &mut Scratch,
-    ) -> Vec<Vec<i32>> {
-        self.validate_batch_inputs(inputs.iter().map(|x| x.len()));
-        if self.profile.is_none() && self.sink.is_none() {
-            // The untraced hot path (see `run_one_scratch`).
+        outs: &mut Vec<Vec<i32>>,
+    ) {
+        self.validate_batch_inputs(inputs.iter().map(|x| x.as_ref().len()));
+        let mut planes = if self.profile.is_none() && self.sink.is_none() {
+            // The untraced hot path (see `run_one`).
             let mut planes = stage_batch(inputs, scratch);
             for layer in &self.layers {
                 let ctx = layer.ctx(backend, self.act_bits);
                 planes = layer.kernel.run_batch(&ctx, planes, scratch);
             }
-            return planes;
+            planes
+        } else {
+            self.run_batch_traced(backend, inputs, scratch)
+        };
+        outs.resize_with(planes.len(), Vec::new);
+        for (out, plane) in outs.iter_mut().zip(&mut planes) {
+            std::mem::swap(out, plane);
         }
+        scratch.put_planes(planes);
+    }
 
+    /// The traced body of [`PreparedNet::run_batch_into`]: the same layer
+    /// walk, with pack, per-layer and whole-run spans recorded.
+    fn run_batch_traced<S: AsRef<[i32]>>(
+        &self,
+        backend: &NativeBackend,
+        inputs: &[S],
+        scratch: &mut Scratch,
+    ) -> Vec<Vec<i32>> {
         let batch = u16::try_from(inputs.len()).unwrap_or(u16::MAX);
         let run_tier = trace::tier_code(self.backend.simd());
         let run_start = trace::now_ns();
@@ -483,32 +457,6 @@ impl PreparedNet {
         }
         self.observe_run(batch, run_tier, run_start);
         planes
-    }
-
-    /// Runs a whole batch entirely out of the arena, writing the outputs
-    /// into `outs` (resized to the batch, each entry cleared and
-    /// refilled). With a warmed `scratch` and `outs` reused across calls,
-    /// this is the zero-heap-allocation serving path (pinned by
-    /// `tests/zero_alloc.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size, as in
-    /// [`PreparedNet::run_batch_with`].
-    pub fn run_batch_into(
-        &self,
-        backend: &NativeBackend,
-        inputs: &[&[i32]],
-        scratch: &mut Scratch,
-        outs: &mut Vec<Vec<i32>>,
-    ) {
-        let planes = self.run_batch_scratch(backend, inputs, scratch);
-        outs.resize_with(planes.len(), Vec::new);
-        for (out, plane) in outs.iter_mut().zip(&planes) {
-            out.clear();
-            out.extend_from_slice(plane);
-        }
-        scratch.put_planes(planes);
     }
 
     /// Records one traced layer execution into whichever observers are
@@ -553,7 +501,7 @@ impl PreparedNet {
 
     /// Validates a batch's input lengths up front, before any layer
     /// executes, panicking with the offending *batch* index — shared by
-    /// every batch entry point ([`PreparedNet::run_batch_with`],
+    /// every batch entry point ([`PreparedNet::run_batch_into`],
     /// [`crate::BatchRunner`]) so the message never degrades to a
     /// chunk-local position from inside a worker's layer loop.
     pub(crate) fn validate_batch_inputs(&self, lens: impl Iterator<Item = usize>) {
@@ -614,9 +562,10 @@ impl PreparedNet {
 }
 
 /// Copies a (validated) input batch into arena planes.
-fn stage_batch(inputs: &[&[i32]], scratch: &mut Scratch) -> Vec<Vec<i32>> {
+fn stage_batch<S: AsRef<[i32]>>(inputs: &[S], scratch: &mut Scratch) -> Vec<Vec<i32>> {
     let mut planes = scratch.take_planes(inputs.len());
     for x in inputs {
+        let x = x.as_ref();
         let mut plane = scratch.take_i32(x.len());
         plane.copy_from_slice(x);
         planes.push(plane);

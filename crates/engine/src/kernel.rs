@@ -3,9 +3,11 @@
 //! Every compiled layer — pooled conv, direct conv, depthwise, dense,
 //! pooling, residual — executes through one [`Kernel`] trait with two
 //! entry points: [`Kernel::run_solo`] for a single activation plane and
-//! [`Kernel::run_batch`] for a coalesced batch. The trait replaces the
-//! per-layer-kind `match` arms the executor used to carry: the executor
-//! walks a list of `Arc<dyn Kernel>` and never inspects layer kinds.
+//! [`Kernel::run_batch`] for a coalesced batch. The executor walks a list
+//! of `Arc<dyn Kernel>` and never inspects layer kinds:
+//! [`crate::PreparedNet::run_one`] (the solo reference) calls `run_solo`
+//! per layer, and [`crate::PreparedNet::run_batch_into`] — the core under
+//! `run_batch` and [`crate::BatchRunner::run`] — calls `run_batch`.
 //!
 //! The contract every implementation upholds (pinned by the batch-parity
 //! tests): **`run_batch` is bit-identical to mapping `run_solo` over the
@@ -18,8 +20,8 @@
 //! through the bit-plane popcount tiles instead
 //! ([`swar::conv_direct_batch`]/[`swar::dense_acc_batch`]), where one
 //! weight-plane load feeds eight images — same contract, same integers.
-//! Pass-through kernels (pooling, residual) are elementwise and simply
-//! map solo execution, which the default method bodies provide.
+//! Max/avg pooling run lane-parallel window loops; global pooling and
+//! residual keep the default `run_batch`, which maps `run_solo`.
 //!
 //! Every method threads a [`Scratch`] arena: activation planes, raw
 //! accumulators and kernel working sets are checked out of per-worker
@@ -32,7 +34,7 @@
 //! [`Kernel::accumulate`], which is what per-layer requant calibration
 //! consumes ([`crate::PreparedNet::calibrate_multipliers`]).
 
-use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices, RawOut};
+use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices};
 use crate::options::ResolvedBackend;
 use crate::scratch::Scratch;
 use crate::swar;
@@ -49,9 +51,8 @@ fn scalar_tier(ctx: &KernelCtx<'_>) -> bool {
 /// `Some(use_avx2)` when the solo bit-plane popcount kernels should run
 /// for this call: a swar-or-better tier at an activation bitwidth low
 /// enough that popcounting 8 weight planes beats the per-element MAC.
-/// The threshold is the backend's resolved routing limit (engine option
-/// or `WP_POPCOUNT_MAX_BITS`, default [`swar::POPCOUNT_MAX_BITS`]). The
-/// scalar tier never routes here.
+/// The threshold is the backend's routing limit (engine option, default
+/// [`swar::POPCOUNT_MAX_BITS`]). The scalar tier never routes here.
 fn popcount_path(ctx: &KernelCtx<'_>) -> Option<bool> {
     match ctx.backend.simd() {
         ResolvedBackend::Scalar => None,
@@ -65,8 +66,8 @@ fn popcount_path(ctx: &KernelCtx<'_>) -> Option<bool> {
 /// `Some(use_avx2)` when the **batched** bit-plane popcount tiles should
 /// run: as [`popcount_path`], but against the stronger int8-tile
 /// baseline, so capped at [`swar::POPCOUNT_BATCH_MAX_BITS`] (and never
-/// above the backend's solo threshold — `WP_POPCOUNT_MAX_BITS=0` turns
-/// both paths off).
+/// above the backend's solo threshold — a limit of 0 turns both paths
+/// off).
 fn popcount_batch_path(ctx: &KernelCtx<'_>) -> Option<bool> {
     match ctx.backend.simd() {
         ResolvedBackend::Scalar => None,
@@ -141,77 +142,24 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
         acc
     }
 
-    /// Batched raw accumulators plus the spatial positions per output
-    /// channel — `Some` exactly when [`Kernel::accumulate`] is `Some`,
-    /// and bit-identical to mapping it over the batch. Buffers (and the
-    /// outer container) come from the arena.
-    ///
-    /// Default: that per-image map. On the scalar tier this is the
-    /// batched story for every kernel; the swar/avx2 tiers skip it —
-    /// their [`Kernel::run_batch`] overrides run the batched tile
-    /// kernels with the bias+requant finish fused into the tile
-    /// write-out, so the raw-accumulator split only ever feeds the
-    /// reference path.
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        let mut plane = 0;
-        let mut accs = scratch.take_planes(batch.len());
-        for codes in batch {
-            match self.accumulate(ctx, codes, scratch) {
-                Some((acc, p)) => {
-                    plane = p;
-                    accs.push(acc);
-                }
-                None => {
-                    scratch.put_planes(accs);
-                    return None;
-                }
-            }
-        }
-        Some((accs, plane))
-    }
-
     /// Executes the layer on a whole batch of activation planes,
     /// bit-identical to mapping [`Kernel::run_solo`] over them. Consumes
     /// the input planes (draining them back into the arena) and returns
     /// arena buffers.
     ///
-    /// Default: accumulate through [`Kernel::accumulate_batch`] and
-    /// finish through the shared in-place bias+requant arithmetic;
-    /// pass-through kernels (accumulate = `None`) map
-    /// [`Kernel::run_solo`] per image. Requantizing kernels override
-    /// this on the swar/avx2 tiers to call the fused batched tile
-    /// kernels (bias+requant applied in the tile write-out), which are
-    /// pinned bit-identical to this default by the backend-parity
-    /// tests.
+    /// Default: exactly that per-image map — the batched story for
+    /// pass-through kernels and for every kernel on the scalar tier.
+    /// Requantizing kernels override this on the swar/avx2 tiers to call
+    /// the fused batched tile kernels (bias+requant applied in the tile
+    /// write-out), which are pinned bit-identical to the map by the
+    /// backend-parity tests.
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        let outs = match self.accumulate_batch(ctx, &planes, scratch) {
-            Some((mut accs, plane)) => {
-                for acc in &mut accs {
-                    ctx.oq.apply_plane_in_place(acc, ctx.bias, plane);
-                }
-                accs
-            }
-            None => {
-                let mut outs = scratch.take_planes(planes.len());
-                for p in &planes {
-                    let out = self.run_solo(ctx, p, scratch);
-                    outs.push(out);
-                }
-                outs
-            }
-        };
-        scratch.put_planes(planes);
-        outs
+        run_batch_solo_map(self, ctx, planes, scratch)
     }
 }
 
@@ -221,10 +169,11 @@ pub(crate) fn out_plane(shape: &PooledConvShape) -> usize {
     geo.out_h() * geo.out_w()
 }
 
-/// Maps [`Kernel::run_solo`] over a batch — the scalar tier's batched
-/// story for requantizing kernels.
-fn run_batch_solo_map(
-    kernel: &impl Kernel,
+/// Maps [`Kernel::run_solo`] over a batch: the default
+/// [`Kernel::run_batch`], which the overrides fall back to on the scalar
+/// tier.
+fn run_batch_solo_map<K: Kernel + ?Sized>(
+    kernel: &K,
     ctx: &KernelCtx<'_>,
     planes: Vec<Vec<i32>>,
     scratch: &mut Scratch,
@@ -262,32 +211,6 @@ impl Kernel for PooledConvKernel {
             ctx.backend.conv_pooled_prepared_scratch(codes, &self.shape, &self.indices, scratch),
             out_plane(&self.shape),
         ))
-    }
-
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, out_plane(&self.shape)));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        ctx.backend.conv_pooled_prepared_batch_core(
-            batch,
-            &self.shape,
-            &self.indices,
-            &RawOut,
-            scratch,
-            &mut outs,
-        );
-        Some((outs, out_plane(&self.shape)))
     }
 
     fn run_batch(
@@ -372,43 +295,6 @@ impl Kernel for DirectConvKernel {
         Some((acc, out_plane(&self.shape)))
     }
 
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, out_plane(&self.shape)));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::conv_direct_batch_core(
-                batch,
-                &self.shape,
-                &self.packed,
-                use_avx2,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-            None => backend::conv_direct_batch_core(
-                batch,
-                &self.shape,
-                &self.weights,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-        }
-        Some((outs, out_plane(&self.shape)))
-    }
-
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -468,32 +354,6 @@ impl Kernel for DwConvKernel {
             backend::dwconv_acc_scratch(codes, &self.shape, &self.weights, scratch),
             out_plane(&self.shape),
         ))
-    }
-
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, out_plane(&self.shape)));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        backend::dwconv_acc_batch_core(
-            batch,
-            &self.shape,
-            &self.weights,
-            &RawOut,
-            scratch,
-            &mut outs,
-        );
-        Some((outs, out_plane(&self.shape)))
     }
 
     fn run_batch(
@@ -571,42 +431,6 @@ impl Kernel for DenseKernel {
             None => backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch),
         };
         Some((acc, 1))
-    }
-
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, 1));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::dense_acc_batch_core(
-                batch,
-                &self.packed,
-                use_avx2,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-            None => backend::dense_acc_batch_core(
-                batch,
-                &self.weights,
-                self.out_features,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-        }
-        Some((outs, 1))
     }
 
     fn run_batch(

@@ -28,10 +28,16 @@
 //!   flat execution plan: pooled convs run bit-serially from the bundle's
 //!   index maps, direct convs from its int8 weights, with per-layer
 //!   requantization via the exact same [`wp_kernels::OutputQuant`]
-//!   arithmetic the instrumented kernels use.
-//! * [`BatchRunner`] — fans a batch of inputs across worker threads with
-//!   `std::thread::scope`; workers share the read-only prepared network and
-//!   each own a private [`LutCache`] copy (the SRAM-per-core analogue).
+//!   arithmetic the instrumented kernels use. It runs through three entry
+//!   points: [`PreparedNet::run_one`] (the solo reference),
+//!   [`PreparedNet::run_batch`] (convenience) and
+//!   [`PreparedNet::run_batch_into`] (the core, against a caller-owned
+//!   [`Scratch`] arena — allocation-free once the arena is warm).
+//! * [`BatchRunner`] — splits a batch into per-worker chunks across
+//!   `std::thread::scope` threads; workers share the read-only prepared
+//!   network, and each runs its chunk through `run_batch_into` with a
+//!   private [`LutCache`] copy (the SRAM-per-core analogue) and a fresh
+//!   arena per call.
 //!
 //! # Example
 //!

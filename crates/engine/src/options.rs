@@ -180,8 +180,8 @@ pub struct EngineOptions {
     /// Kernel tier selection, resolved at plan-compile time.
     pub(crate) backend: BackendKind,
     /// Bit-plane popcount routing threshold override (see
-    /// [`crate::swar::resolve_popcount_max_bits`]); `None` resolves from
-    /// `WP_POPCOUNT_MAX_BITS` / the built-in default.
+    /// [`crate::swar::resolve_popcount_max_bits`]); `None` keeps the
+    /// built-in default.
     pub(crate) popcount_max_bits: Option<u8>,
 }
 
@@ -246,8 +246,8 @@ impl EngineOptions {
     /// Overrides the activation bitwidth at or below which the swar/avx2
     /// tiers route direct-conv and dense layers through the bit-plane
     /// popcount kernels (0 disables them; `from_bundle` panics above 8).
-    /// Unset, the threshold resolves from `WP_POPCOUNT_MAX_BITS` or the
-    /// built-in default — see [`crate::swar::resolve_popcount_max_bits`].
+    /// Unset, the threshold is the built-in
+    /// [`crate::swar::POPCOUNT_MAX_BITS`].
     pub fn with_popcount_max_bits(mut self, bits: u8) -> Self {
         self.popcount_max_bits = Some(bits);
         self

@@ -593,36 +593,23 @@ pub const POPCOUNT_MAX_BITS: u8 = 4;
 /// holds 4.3x / 2.8x / 2.1x / 1.7x over the int8 tiles at 1–4 bits
 /// (`BENCH_engine.json`, `popcount_batched` section), so the batched
 /// cap matches the solo threshold. Always further capped by the
-/// backend's (possibly `WP_POPCOUNT_MAX_BITS`-overridden) threshold,
+/// backend's threshold ([`crate::EngineOptions::with_popcount_max_bits`]),
 /// which also turns the path off entirely when set to 0.
 pub const POPCOUNT_BATCH_MAX_BITS: u8 = 4;
 
-/// Environment variable overriding the popcount routing threshold
-/// (mirrors `WP_BACKEND`): `0` disables the bit-plane path entirely,
-/// `1..=8` routes act_bits up to that value through it.
-pub const POPCOUNT_MAX_BITS_ENV: &str = "WP_POPCOUNT_MAX_BITS";
-
 /// Resolves the popcount routing threshold: an explicit engine-option
-/// value wins, else `WP_POPCOUNT_MAX_BITS` from the environment, else
-/// the built-in [`POPCOUNT_MAX_BITS`]. Unparseable or out-of-range
-/// (`> 8`) env values fall back to the default rather than panicking —
-/// an env override must never take down a server.
+/// value wins, else the built-in [`POPCOUNT_MAX_BITS`].
 ///
 /// # Panics
 ///
-/// Panics if an **explicit** value is out of range (`> 8`) — that is a
-/// configuration bug, not an environment typo.
+/// Panics if an explicit value is out of range (`> 8`).
 pub fn resolve_popcount_max_bits(explicit: Option<u8>) -> u8 {
-    if let Some(bits) = explicit {
-        assert!(bits <= 8, "popcount bit threshold must be 0..=8, got {bits}");
-        return bits;
-    }
-    match std::env::var(POPCOUNT_MAX_BITS_ENV) {
-        Ok(s) => match s.trim().parse::<u8>() {
-            Ok(bits) if bits <= 8 => bits,
-            _ => POPCOUNT_MAX_BITS,
-        },
-        Err(_) => POPCOUNT_MAX_BITS,
+    match explicit {
+        Some(bits) => {
+            assert!(bits <= 8, "popcount bit threshold must be 0..=8, got {bits}");
+            bits
+        }
+        None => POPCOUNT_MAX_BITS,
     }
 }
 
@@ -931,24 +918,6 @@ mod tests {
         assert_eq!(resolve_popcount_max_bits(Some(7)), 7);
         let err = std::panic::catch_unwind(|| resolve_popcount_max_bits(Some(9)));
         assert!(err.is_err(), "explicit out-of-range threshold must panic");
-    }
-
-    #[test]
-    fn env_threshold_overrides_and_bad_values_fall_back() {
-        // Sequential set/remove on one thread; the routing threshold only
-        // affects which (bit-identical) path runs, so concurrent tests
-        // observing a transient override still pass.
-        for (raw, expect) in [
-            ("2", 2u8),
-            ("0", 0),
-            (" 3 ", 3),
-            ("9", POPCOUNT_MAX_BITS),
-            ("banana", POPCOUNT_MAX_BITS),
-        ] {
-            std::env::set_var(POPCOUNT_MAX_BITS_ENV, raw);
-            assert_eq!(resolve_popcount_max_bits(None), expect, "raw={raw:?}");
-        }
-        std::env::remove_var(POPCOUNT_MAX_BITS_ENV);
         assert_eq!(resolve_popcount_max_bits(None), POPCOUNT_MAX_BITS);
     }
 

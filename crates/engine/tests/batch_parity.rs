@@ -76,9 +76,9 @@ fn all_kinds_batched_matches_solo_across_batch_sizes_and_threads() {
         // ...and the threaded serving path on top of it.
         for threads in [1usize, 4] {
             assert_eq!(
-                BatchRunner::new(threads).run_refs(&net, &refs[..batch]),
+                BatchRunner::new(threads).run(&net, &refs[..batch]),
                 solo[..batch],
-                "run_refs, batch={batch}, threads={threads}"
+                "BatchRunner::run, batch={batch}, threads={threads}"
             );
         }
     }
@@ -122,7 +122,7 @@ fn batch_runner_reports_offending_input_index() {
     let good = net.fabricate_inputs(3, 1);
     let bad = vec![0i32; 2];
     let refs: Vec<&[i32]> = vec![&good[0], &good[1], &good[2], &bad];
-    BatchRunner::new(2).run_refs(&net, &refs);
+    BatchRunner::new(2).run(&net, &refs);
 }
 
 proptest! {
@@ -220,7 +220,7 @@ proptest! {
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let solo: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
         prop_assert_eq!(net.run_batch(&refs), solo.clone());
-        prop_assert_eq!(BatchRunner::new(threads).run_refs(&net, &refs), solo);
+        prop_assert_eq!(BatchRunner::new(threads).run(&net, &refs), solo);
     }
 }
 

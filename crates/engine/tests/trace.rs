@@ -87,7 +87,7 @@ fn traced_execution_is_bit_identical_to_untraced() {
         let traced_solo: Vec<Vec<i32>> = inputs.iter().map(|x| traced.run_one(x)).collect();
         assert_eq!(traced_solo, solo, "{backend:?}: traced solo diverged");
         assert_eq!(traced.run_batch(&refs), batched, "{backend:?}: traced batch diverged");
-        let runner_out = BatchRunner::new(3).run_refs(&traced, &refs);
+        let runner_out = BatchRunner::new(3).run(&traced, &refs);
         assert_eq!(runner_out, batched, "{backend:?}: traced threaded run diverged");
 
         // And the observation actually happened: 9 solo + batch chunks.

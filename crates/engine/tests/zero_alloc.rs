@@ -5,10 +5,11 @@
 //! accumulator and kernel working set is checked out of per-worker pools
 //! and returned after use. A run's buffer demand is fixed by the plan,
 //! so after a handful of warmup runs every pool holds its peak demand
-//! and the `run_one_into` / `run_batch_into` entry points stop touching
-//! the allocator entirely. This test pins that with a counting global
-//! allocator: warm the arena, then assert **zero** allocations across
-//! whole solo and batched inferences.
+//! and the `run_batch_into` core stops touching the allocator entirely.
+//! This test pins that with a counting global allocator: warm the arena,
+//! then assert **zero** allocations across whole inferences — a
+//! one-image batch (which runs every kernel's solo tail path) and a
+//! multi-tile batch.
 //!
 //! One `#[test]` only: the counting allocator is process-global, and a
 //! concurrent test's allocations would race the measurement.
@@ -141,14 +142,14 @@ fn warmed_runs_do_not_allocate() {
     // Warm every pool to its peak demand (the demand multiset is fixed
     // by the plan, so a few runs converge).
     for _ in 0..8 {
-        net.run_one_into(&backend, &inputs[0], &mut scratch, &mut solo_out);
+        net.run_batch_into(&backend, &refs[..1], &mut scratch, &mut solo_out);
         net.run_batch_into(&backend, &refs, &mut scratch, &mut batch_outs);
     }
-    let want_solo = solo_out.clone();
+    let want_solo = vec![net.run_one(&inputs[0])];
     let want_batch = batch_outs.clone();
 
     let solo_allocs = allocations_during(|| {
-        net.run_one_into(&backend, &inputs[0], &mut scratch, &mut solo_out);
+        net.run_batch_into(&backend, &refs[..1], &mut scratch, &mut solo_out);
     });
     let batch_allocs = allocations_during(|| {
         net.run_batch_into(&backend, &refs, &mut scratch, &mut batch_outs);

@@ -9,9 +9,10 @@
 //! planes are waiting **or** the oldest plane has waited `max_wait`
 //! (whichever comes first — a solo request on an idle server pays at most
 //! `max_wait`, a busy server packs full batches back to back). Each batch
-//! executes through [`wp_engine::BatchRunner::run_refs`], whose batched
-//! kernels are bit-identical to solo execution, so coalescing never
-//! changes a response.
+//! executes through [`wp_engine::BatchRunner::run`] over borrowed request
+//! planes, whose batched kernels are bit-identical to solo execution, so
+//! coalescing never changes a response. The runner builds a fresh LUT
+//! copy and scratch arena per worker per batch.
 //!
 //! The prepared network lives behind an [`RwLock`]'d [`Arc`] slot; the
 //! flusher clones the `Arc` per batch, which is what makes registry
@@ -411,7 +412,7 @@ fn flusher_loop(
             .map(|(i, _)| i)
             .collect();
         let refs: Vec<&[i32]> = valid.iter().map(|&i| batch[i].input.as_slice()).collect();
-        let outputs = runner.run_refs(&net, &refs);
+        let outputs = runner.run(&net, &refs);
         if !valid.is_empty() {
             metrics.record_batch(valid.len());
             batches_flushed.fetch_add(1, Ordering::Relaxed);

@@ -14,7 +14,7 @@
 //!                        per-model Batcher queue
 //!                                 │  flush on max_batch or max_wait
 //!                                 ▼
-//!                  BatchRunner.run_refs (batched, bit-identical)
+//!                  BatchRunner.run (batched, bit-identical)
 //! ```
 //!
 //! Both fronts route through the same [`route`]/[`Reply`] code and the
