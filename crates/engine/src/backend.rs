@@ -12,6 +12,16 @@
 //! reassociates an integer sum, the accumulators are bit-identical to
 //! [`wp_core::reference::bitserial_conv_acc`] — a property pinned down by
 //! the parity tests in `tests/parity.rs`.
+//!
+//! The int8 layers (direct conv, depthwise, dense) have solo loops and
+//! weight-stationary **batched tiles** over batch-minor columns. On
+//! x86-64 the batched direct-conv and dense tiles are the pair-madd
+//! kernels ([`madd`]): two reduction terms per `i32` lane as `i16`
+//! halves, multiplied and added by `pmaddwd` — the batched path at every
+//! activation bitwidth. Tiles whose codes do not fit `i16` (and every
+//! tile on other architectures) run the generic [`TileAcc`] tiles. Every
+//! path sums the same integers, so batched outputs are bit-identical to
+//! solo ones.
 
 use crate::options::{BackendKind, ResolvedBackend};
 use crate::scratch::Scratch;
@@ -130,15 +140,16 @@ pub struct NativeBackend {
     /// The resolved kernel tier. `Scalar` keeps every op on the
     /// per-element reference loops (generic bit-unpack, per-image
     /// batching); `Swar`/`Avx2` engage the SWAR bit-matrix fill, the
-    /// bit-plane popcount kernels and the batched tile kernels. Every
-    /// tier computes identical integers.
+    /// solo bit-plane popcount kernels and the batched tile kernels
+    /// (`Avx2` runs the pair-madd tiles 256 bits wide). Every tier
+    /// computes identical integers.
     simd: ResolvedBackend,
-    /// Largest activation bitwidth routed through the bit-plane popcount
-    /// kernels (solo direct/dense; the batched path further caps at
-    /// [`crate::swar::POPCOUNT_BATCH_MAX_BITS`]). The built-in
+    /// Largest activation bitwidth at which **solo** direct/dense calls
+    /// run the bit-plane popcount kernels (batches always run the
+    /// batched int8 tiles). The built-in
     /// [`crate::swar::POPCOUNT_MAX_BITS`] unless the engine option
-    /// overrides it; `0` disables the popcount path. Routing only — every path computes
-    /// identical integers.
+    /// overrides it; `0` disables the popcount path. Routing only — every
+    /// path computes identical integers.
     popcount_max_bits: u8,
 }
 
@@ -218,16 +229,17 @@ impl NativeBackend {
         self.simd
     }
 
-    /// The popcount routing threshold this backend executes with (see
-    /// [`crate::swar::resolve_popcount_max_bits`]).
+    /// The solo popcount routing threshold this backend executes with
+    /// (see [`crate::swar::resolve_popcount_max_bits`]); batches do not
+    /// route by it.
     pub fn popcount_max_bits(&self) -> u8 {
         self.popcount_max_bits
     }
 
-    /// Overrides the popcount routing threshold: act_bits up to `bits`
-    /// route direct/dense work through the bit-plane kernels, `0`
-    /// disables them entirely. Routing only — outputs are identical at
-    /// any setting.
+    /// Overrides the solo popcount routing threshold: act_bits up to
+    /// `bits` route solo direct/dense calls through the bit-plane
+    /// kernels, `0` disables them entirely. Routing only — outputs are
+    /// identical at any setting.
     ///
     /// # Panics
     ///
@@ -937,48 +949,143 @@ impl WriteOut for FusedOut<'_> {
     }
 }
 
-/// Transposes a full tile of `B` equally-sized activation planes into
-/// batch-minor columns: the value of image `b` at flat position `pos`
-/// lands at `pos * B + b`, so one position's values for the whole tile
-/// are contiguous (the layout every tile kernel sweeps). `columns` must
-/// be pre-sized to `len * B` (every slot is written).
-fn fill_columns<S: AsRef<[i32]>, const B: usize>(tile: &[S], columns: &mut [i32]) {
-    debug_assert_eq!(tile.len(), B);
-    debug_assert_eq!(columns.len(), tile[0].as_ref().len() * B);
-    for (b, codes) in tile.iter().enumerate() {
-        for (pos, &v) in codes.as_ref().iter().enumerate() {
-            columns[pos * B + b] = v;
-        }
-    }
-}
-
-/// [`fill_columns`] at a run-time lane count (the blocked dense kernel
-/// spans every full tile of a batch at once, so its lane count is not a
-/// compile-time constant): image `b` at position `pos` lands at
-/// `pos * lanes + b`.
-fn fill_columns_dyn<S: AsRef<[i32]>>(tile: &[S], columns: &mut [i32]) {
-    let lanes = tile.len();
-    debug_assert_eq!(columns.len(), tile[0].as_ref().len() * lanes);
-    for (b, codes) in tile.iter().enumerate() {
+/// Transposes a group of equally-sized activation planes (a tile, or
+/// every full tile of a batch) into batch-minor columns: the value of
+/// image `b` at flat position `pos` lands at `pos * lanes + b`, so one
+/// position's values for the whole group are contiguous (the layout
+/// every generic tile kernel sweeps). `columns` must be pre-sized to
+/// `len * lanes` (every slot is written).
+fn fill_columns<S: AsRef<[i32]>>(group: &[S], columns: &mut [i32]) {
+    let lanes = group.len();
+    debug_assert_eq!(columns.len(), group[0].as_ref().len() * lanes);
+    for (b, codes) in group.iter().enumerate() {
         for (pos, &v) in codes.as_ref().iter().enumerate() {
             columns[pos * lanes + b] = v;
         }
     }
 }
 
-/// Whether every per-pixel sum of `terms` products `w · a` (with
-/// `|w| <= 128` int8 weights and activations drawn from `tile`) provably
-/// fits in `i32` — the admission test for the [`TileAcc`] `i32` fast
-/// path. Conservative by construction: it bounds with the tile's largest
-/// activation magnitude, so a `true` here means no intermediate partial
-/// sum can overflow in any accumulation order.
-fn tile_fits_i32<S: AsRef<[i32]>>(tile: &[S], terms: i64) -> bool {
+/// How a full tile of an int8 layer accumulates: the choice every
+/// batched int8 kernel makes per tile, from the tile's largest activation
+/// magnitude and the layer's term count. All three produce the same
+/// integers; they differ only in how much work each instruction does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TilePath {
+    /// The pair-madd tiles ([`madd`]): every sum fits `i32` and every code
+    /// fits `i16`, so two reduction terms ride in one `i32` lane and
+    /// `pmaddwd` does both multiplies and their add exactly.
+    #[cfg(target_arch = "x86_64")]
+    Madd,
+    /// The generic [`TileAcc`] tile in `i32`.
+    I32,
+    /// The generic [`TileAcc`] tile in `i64` (always exact).
+    I64,
+}
+
+/// Admission for the tile paths. `I32` (and `Madd`) require every
+/// per-pixel sum of `terms` products `w · a` (with `|w| <= 128` int8
+/// weights and activations drawn from `tile`) to provably fit in `i32`.
+/// Conservative by construction: it bounds with the tile's largest
+/// activation magnitude, so no intermediate partial sum can overflow in
+/// any accumulation order — which is what lets the madd tiles add pairs
+/// of terms in a different order than the solo loop. `Madd` further
+/// requires every code to fit `i16` (`pmaddwd` multiplies signed 16-bit
+/// halves); every activation code at `act_bits <= 8` does, under both
+/// encodings.
+fn tile_path<S: AsRef<[i32]>>(tile: &[S], terms: i64) -> TilePath {
     let max_abs =
         tile.iter().flat_map(|c| c.as_ref().iter()).map(|&v| (v as i64).abs()).max().unwrap_or(0);
-    terms
+    let fits_i32 = terms
         .checked_mul(max_abs)
         .and_then(|v| v.checked_mul(128))
-        .is_some_and(|v| v <= i32::MAX as i64)
+        .is_some_and(|v| v <= i32::MAX as i64);
+    if !fits_i32 {
+        return TilePath::I64;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if max_abs <= i16::MAX as i64 {
+        return TilePath::Madd;
+    }
+    TilePath::I32
+}
+
+/// Int8 weights compiled for the batched tile kernels, kept in two
+/// forms: the `[rows, ch, inner]` matrix as given (the solo loops and
+/// the generic [`TileAcc`] tiles), and packed once as **i16 pairs** for
+/// the [`madd`] tiles. Pair `p` of row `r` at inner position `i` is one
+/// `i32` at `(r * pairs + p) * inner + i` holding channel `2p` in its low
+/// half and channel `2p + 1` in its high half; an odd `ch` pads the last
+/// pair's high half with a zero weight, so the padded term contributes
+/// exactly nothing.
+///
+/// A direct conv is `[K, C, R·S]` (pairs run over input channels); a
+/// dense layer is `[O, I, 1]` (pairs run over input features).
+#[derive(Debug, Clone)]
+pub(crate) struct TileWeights {
+    rows: usize,
+    ch: usize,
+    inner: usize,
+    pairs: usize,
+    int8: Vec<i8>,
+    paired: Vec<i32>,
+}
+
+/// Two `i16` values as one `i32` lane: `lo` in the low half, `hi` in the
+/// high half — the operand layout `pmaddwd` multiplies pairwise. Both
+/// must fit `i16` (callers guarantee it).
+#[inline(always)]
+fn pair_i16(lo: i32, hi: i32) -> i32 {
+    ((lo as u16 as u32) | ((hi as u16 as u32) << 16)) as i32
+}
+
+impl TileWeights {
+    /// Packs a `[rows, ch, inner]` int8 weight matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `int8.len() != rows * ch * inner`.
+    pub(crate) fn new(int8: Vec<i8>, rows: usize, ch: usize, inner: usize) -> Self {
+        assert_eq!(int8.len(), rows * ch * inner, "weight size mismatch");
+        let pairs = ch.div_ceil(2);
+        let mut paired = Vec::with_capacity(rows * pairs * inner);
+        // A row is `ch` channel runs of `inner` weights; a pair is two
+        // adjacent runs (just one, past an odd `ch`).
+        for row in int8.chunks((ch * inner).max(1)) {
+            for pair in row.chunks(2 * inner) {
+                let (lo, hi) = pair.split_at(inner);
+                if hi.is_empty() {
+                    paired.extend(lo.iter().map(|&l| pair_i16(l as i32, 0)));
+                } else {
+                    paired.extend(lo.iter().zip(hi).map(|(&l, &h)| pair_i16(l as i32, h as i32)));
+                }
+            }
+        }
+        Self { rows, ch, inner, pairs, int8, paired }
+    }
+
+    /// The weights as given, `[rows, ch, inner]`.
+    pub(crate) fn int8(&self) -> &[i8] {
+        &self.int8
+    }
+}
+
+/// Transposes a group of equally-sized `[ch, inner]` activation planes
+/// into **channel-pair interleaved** batch-minor columns for the madd
+/// tiles: slot `(p * inner + i) * lanes + b` holds image `b`'s codes of
+/// channels `2p` and `2p + 1` at position `i` as one [`pair_i16`] lane
+/// (high half zero past an odd `ch`). `columns` must be zeroed and sized
+/// `ceil(ch / 2) * inner * lanes`; every code must fit `i16`.
+fn fill_pair_columns<S: AsRef<[i32]>>(group: &[S], ch: usize, inner: usize, columns: &mut [i32]) {
+    let lanes = group.len();
+    debug_assert_eq!(columns.len(), ch.div_ceil(2) * inner * lanes);
+    for (b, codes) in group.iter().enumerate() {
+        for c in 0..ch {
+            let (base, shift) = ((c / 2) * inner, 16 * (c % 2));
+            for (i, &v) in codes.as_ref()[c * inner..][..inner].iter().enumerate() {
+                columns[(base + i) * lanes + b] |= ((v as u16 as u32) << shift) as i32;
+            }
+        }
+    }
 }
 
 /// Batched [`conv_direct`]: weight-stationary direct int8 convolution
@@ -989,11 +1096,16 @@ fn tile_fits_i32<S: AsRef<[i32]>>(tile: &[S], terms: i64) -> bool {
 /// through a batch-minor tile kernel: each weight is loaded once per
 /// output pixel and applied to the whole tile as a dense sweep over a
 /// contiguous batch column — the direct-conv analogue of the pooled
-/// scatter's tap amortization. Per image the sum per output pixel is the
-/// exact integer sum the solo path computes (in `i64`, or in `i32` when
-/// [`tile_fits_i32`] proves overflow impossible), so outputs match
-/// bit-for-bit; a partial tail tile runs solo, which is identical by the
-/// same argument.
+/// scatter's tap amortization. A tile whose codes fit `i16` and whose
+/// sums fit `i32` (every tile at `act_bits <= 8`) runs the pair-madd
+/// tile ([`madd`]), which multiplies two input channels per lane per
+/// instruction; any other tile runs the generic [`TileAcc`] tile. Per
+/// image the sum per output pixel is the exact integer sum the solo path
+/// computes (see [`tile_path`] for why the order cannot matter), so
+/// outputs match bit-for-bit; a partial tail tile runs solo, which is
+/// identical by the same argument. The madd tiles run as wide as the
+/// auto-resolved tier allows ([`BackendKind::resolve`], so `WP_BACKEND`
+/// picks the 128- or 256-bit form).
 ///
 /// # Panics
 ///
@@ -1003,8 +1115,19 @@ pub fn conv_direct_batch<S: AsRef<[i32]>>(
     shape: &PooledConvShape,
     weights: &[i8],
 ) -> Vec<Vec<i32>> {
+    let weights =
+        TileWeights::new(weights.to_vec(), shape.out_ch, shape.in_ch, shape.kernel * shape.kernel);
     let mut outs = Vec::with_capacity(batch.len());
-    conv_direct_batch_core(batch, shape, weights, &RawOut, &mut Scratch::new(), &mut outs);
+    let use_avx2 = BackendKind::Auto.resolve() == ResolvedBackend::Avx2;
+    conv_direct_batch_core(
+        batch,
+        shape,
+        &weights,
+        use_avx2,
+        &RawOut,
+        &mut Scratch::new(),
+        &mut outs,
+    );
     outs
 }
 
@@ -1014,47 +1137,65 @@ pub fn conv_direct_batch<S: AsRef<[i32]>>(
 pub(crate) fn conv_direct_batch_core<S: AsRef<[i32]>>(
     batch: &[S],
     shape: &PooledConvShape,
-    weights: &[i8],
+    weights: &TileWeights,
+    use_avx2: bool,
     w_out: &impl WriteOut,
     scratch: &mut Scratch,
     outs: &mut Vec<Vec<i32>>,
 ) {
     const B: usize = NativeBackend::BATCH_TILE;
+    let kk = shape.kernel * shape.kernel;
+    assert_eq!(
+        (weights.rows, weights.ch, weights.inner),
+        (shape.out_ch, shape.in_ch, kk),
+        "weight size mismatch"
+    );
     let geo = shape.geometry();
     let out_plane = geo.out_h() * geo.out_w();
+    let plane = shape.in_h * shape.in_w;
     for tile in batch.chunks(B) {
         if tile.len() < B {
             for codes in tile {
-                let mut acc = conv_direct_scratch(codes.as_ref(), shape, weights, scratch);
+                let mut acc = conv_direct_scratch(codes.as_ref(), shape, weights.int8(), scratch);
                 w_out.finish_solo_in_place(&mut acc, out_plane);
                 outs.push(acc);
             }
             continue;
         }
         for codes in tile {
-            assert_eq!(
-                codes.as_ref().len(),
-                shape.in_ch * shape.in_h * shape.in_w,
-                "activation size mismatch"
-            );
+            assert_eq!(codes.as_ref().len(), shape.in_ch * plane, "activation size mismatch");
         }
-        assert_eq!(
-            weights.len(),
-            shape.out_ch * shape.in_ch * shape.kernel * shape.kernel,
-            "weight size mismatch"
-        );
-        let mut columns = scratch.take_i32(tile[0].as_ref().len() * B);
-        fill_columns::<_, B>(tile, &mut columns);
+        let path = tile_path(tile, (shape.in_ch * kk) as i64);
+        // One columns buffer serves either layout: the generic tile needs
+        // `C · plane · B` slots, the madd tile the first `ceil(C/2)` of
+        // those channel runs.
+        let mut columns = scratch.take_i32(shape.in_ch * plane * B);
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            TilePath::Madd => {
+                columns.truncate(weights.pairs * plane * B);
+                fill_pair_columns(tile, shape.in_ch, plane, &mut columns);
+            }
+            _ => fill_columns(tile, &mut columns),
+        }
         let base = outs.len();
         for _ in 0..B {
             outs.push(scratch.take_i32(shape.out_ch * out_plane));
         }
         let mut taps = scratch.take_pairs();
-        let terms = (shape.in_ch * shape.kernel * shape.kernel) as i64;
-        if tile_fits_i32(tile, terms) {
-            direct_tile::<i32, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
-        } else {
-            direct_tile::<i64, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
+        let tile_outs = &mut outs[base..];
+        let int8 = weights.int8();
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            TilePath::Madd => {
+                madd::direct_tile(&columns, shape, weights, w_out, &mut taps, tile_outs, use_avx2)
+            }
+            TilePath::I32 => {
+                direct_tile::<i32, B>(&columns, shape, int8, w_out, &mut taps, tile_outs)
+            }
+            TilePath::I64 => {
+                direct_tile::<i64, B>(&columns, shape, int8, w_out, &mut taps, tile_outs)
+            }
         }
         scratch.put_pairs(taps);
         scratch.put_i32(columns);
@@ -1083,7 +1224,7 @@ fn valid_spatial_taps(
     }
 }
 
-/// The direct-conv tile kernel at compile-time batch width `B`:
+/// The generic direct-conv tile kernel at compile-time batch width `B`:
 /// `columns` holds batch-minor activations (`pos * B + b`). Output pixels
 /// are outermost and filters next, so each filter's accumulator row lives
 /// in registers across all of its `C · R · S` weights, each loaded once
@@ -1183,17 +1324,19 @@ pub(crate) fn dwconv_acc_batch_core<S: AsRef<[i32]>>(
             "weight size mismatch"
         );
         let mut columns = scratch.take_i32(tile[0].as_ref().len() * B);
-        fill_columns::<_, B>(tile, &mut columns);
+        fill_columns(tile, &mut columns);
         let base = outs.len();
         for _ in 0..B {
             outs.push(scratch.take_i32(shape.in_ch * out_plane));
         }
         let mut taps = scratch.take_pairs();
         let terms = (shape.kernel * shape.kernel) as i64;
-        if tile_fits_i32(tile, terms) {
-            dw_tile::<i32, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
-        } else {
+        // Depthwise has no channel reduction to pair up, so an
+        // i16-fitting tile runs the generic `i32` tile.
+        if tile_path(tile, terms) == TilePath::I64 {
             dw_tile::<i64, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
+        } else {
+            dw_tile::<i32, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
         }
         scratch.put_pairs(taps);
         scratch.put_i32(columns);
@@ -1245,8 +1388,9 @@ fn dw_tile<A: TileAcc, const B: usize>(
 /// bit-identical to solo. Full tiles load each of the `O · I` weights
 /// once and apply it to the whole tile as one dense sweep over a
 /// batch-minor feature column — the regime where a dense head's weight
-/// traffic amortizes (same tiling, fast-path admission and exactness
-/// argument as [`conv_direct_batch`]).
+/// traffic amortizes (same tiling, [`tile_path`] admission and exactness
+/// argument as [`conv_direct_batch`]; the madd tiles pair up adjacent
+/// input features).
 ///
 /// # Panics
 ///
@@ -1256,8 +1400,12 @@ pub fn dense_acc_batch<S: AsRef<[i32]>>(
     weights: &[i8],
     out_features: usize,
 ) -> Vec<Vec<i32>> {
+    assert!(out_features > 0, "dense layer needs at least one output feature");
+    let in_features = weights.len() / out_features;
+    let weights = TileWeights::new(weights.to_vec(), out_features, in_features, 1);
     let mut outs = Vec::with_capacity(batch.len());
-    dense_acc_batch_core(batch, weights, out_features, &RawOut, &mut Scratch::new(), &mut outs);
+    let use_avx2 = BackendKind::Auto.resolve() == ResolvedBackend::Avx2;
+    dense_acc_batch_core(batch, &weights, use_avx2, &RawOut, &mut Scratch::new(), &mut outs);
     outs
 }
 
@@ -1279,114 +1427,82 @@ const DENSE_BLOCK_IN: usize = 256;
 
 /// The batched dense engine (see
 /// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract). Large heads re-stream their weight matrix
-/// once per [`NativeBackend::BATCH_TILE`]-wide tile in the plain tile
-/// kernel — for a 2-tile-or-larger batch on a matrix past
-/// [`DENSE_BLOCK_MIN_WEIGHTS`] the blocked kernel instead spans all full
-/// tiles at once, loading each weight block **once per batch**.
+/// outs/scratch contract). Full tiles run one at a time, except that a
+/// 2-tile-or-larger batch on a matrix past [`DENSE_BLOCK_MIN_WEIGHTS`]
+/// spans all full tiles at once in the blocked form, loading each weight
+/// block **once per batch** instead of once per tile. Either way the
+/// group runs the pair-madd kernel when [`tile_path`] admits it, else the
+/// generic [`TileAcc`] kernels; the tail runs solo.
 pub(crate) fn dense_acc_batch_core<S: AsRef<[i32]>>(
     batch: &[S],
-    weights: &[i8],
-    out_features: usize,
+    weights: &TileWeights,
+    use_avx2: bool,
     w_out: &impl WriteOut,
     scratch: &mut Scratch,
     outs: &mut Vec<Vec<i32>>,
 ) {
     const B: usize = NativeBackend::BATCH_TILE;
-    if batch.is_empty() {
-        return;
-    }
-    let in_features = batch[0].as_ref().len();
+    let (in_features, out_features) = (weights.ch, weights.rows);
+    debug_assert_eq!(weights.inner, 1);
     let full = batch.len() / B * B;
-    if full >= 2 * B && in_features * out_features >= DENSE_BLOCK_MIN_WEIGHTS {
-        for codes in batch {
+    let blocked = full >= 2 * B && in_features * out_features >= DENSE_BLOCK_MIN_WEIGHTS;
+    for group in batch[..full].chunks(if blocked { full } else { B }) {
+        for codes in group {
             assert_eq!(codes.as_ref().len(), in_features, "activation size mismatch");
         }
-        assert_eq!(weights.len(), in_features * out_features, "weight size mismatch");
-        let lanes = &batch[..full];
-        let mut columns = scratch.take_i32(in_features * full);
-        fill_columns_dyn(lanes, &mut columns);
-        let base = outs.len();
-        for _ in 0..full {
-            outs.push(scratch.take_i32(out_features));
-        }
-        if tile_fits_i32(lanes, in_features as i64) {
-            dense_blocked::<i32>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                scratch,
-                &mut outs[base..],
-            );
-        } else {
-            dense_blocked::<i64>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                scratch,
-                &mut outs[base..],
-            );
-        }
-        scratch.put_i32(columns);
-        for codes in &batch[full..] {
-            let mut acc = dense_acc_scratch(codes.as_ref(), weights, out_features, scratch);
-            w_out.finish_solo_in_place(&mut acc, 1);
-            outs.push(acc);
-        }
-        return;
-    }
-    for tile in batch.chunks(B) {
-        if tile.len() < B {
-            for codes in tile {
-                let mut acc = dense_acc_scratch(codes.as_ref(), weights, out_features, scratch);
-                w_out.finish_solo_in_place(&mut acc, 1);
-                outs.push(acc);
+        let lanes = group.len();
+        let path = tile_path(group, in_features as i64);
+        // One buffer serves either layout: the generic kernels'
+        // `I · lanes` columns, or the madd kernel's `ceil(I/2) · lanes`
+        // pair columns followed by its `DENSE_BLOCK_OUT · lanes`
+        // accumulator block.
+        let mut columns =
+            scratch.take_i32(in_features.max(weights.pairs + DENSE_BLOCK_OUT) * lanes);
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            TilePath::Madd => {
+                columns.truncate((weights.pairs + DENSE_BLOCK_OUT) * lanes);
+                fill_pair_columns(group, in_features, 1, &mut columns[..weights.pairs * lanes]);
             }
-            continue;
+            _ => {
+                columns.truncate(in_features * lanes);
+                fill_columns(group, &mut columns);
+            }
         }
-        for codes in tile {
-            assert_eq!(codes.as_ref().len(), in_features, "activation size mismatch");
-        }
-        assert_eq!(weights.len(), in_features * out_features, "weight size mismatch");
-        let mut columns = scratch.take_i32(in_features * B);
-        fill_columns::<_, B>(tile, &mut columns);
         let base = outs.len();
-        for _ in 0..B {
+        for _ in 0..lanes {
             outs.push(scratch.take_i32(out_features));
         }
-        if tile_fits_i32(tile, in_features as i64) {
-            dense_tile::<i32, B>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                &mut outs[base..],
-            );
-        } else {
-            dense_tile::<i64, B>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                &mut outs[base..],
-            );
+        let group_outs = &mut outs[base..];
+        let (int8, dims) = (weights.int8(), (in_features, out_features));
+        match (path, blocked) {
+            #[cfg(target_arch = "x86_64")]
+            (TilePath::Madd, _) => {
+                let (cols, acc) = columns.split_at_mut(weights.pairs * lanes);
+                madd::dense(cols, weights, w_out, acc, group_outs, use_avx2)
+            }
+            (TilePath::I64, true) => {
+                dense_blocked::<i64>(&columns, int8, dims, w_out, scratch, group_outs)
+            }
+            (TilePath::I64, false) => dense_tile::<i64, B>(&columns, int8, dims, w_out, group_outs),
+            (_, true) => dense_blocked::<i32>(&columns, int8, dims, w_out, scratch, group_outs),
+            (_, false) => dense_tile::<i32, B>(&columns, int8, dims, w_out, group_outs),
         }
         scratch.put_i32(columns);
+    }
+    for codes in &batch[full..] {
+        let mut acc = dense_acc_scratch(codes.as_ref(), weights.int8(), out_features, scratch);
+        w_out.finish_solo_in_place(&mut acc, 1);
+        outs.push(acc);
     }
 }
 
-/// The dense tile kernel at compile-time batch width `B`.
+/// The generic dense tile kernel at compile-time batch width `B`, over
+/// an `(in_features, out_features)` matrix.
 fn dense_tile<A: TileAcc, const B: usize>(
     columns: &[i32],
     weights: &[i8],
-    in_features: usize,
-    out_features: usize,
+    (in_features, out_features): (usize, usize),
     w_out: &impl WriteOut,
     tile_outs: &mut [Vec<i32>],
 ) {
@@ -1408,7 +1524,7 @@ fn dense_tile<A: TileAcc, const B: usize>(
     }
 }
 
-/// The blocked dense kernel at run-time lane count: `columns` holds the
+/// The generic blocked dense kernel at run-time lane count: `columns` holds the
 /// whole batch's activations batch-minor (`pos * lanes + b`), and the
 /// `(out, in)` weight matrix is walked in `DENSE_BLOCK_OUT ×
 /// DENSE_BLOCK_IN` blocks — each block's weights are loaded from memory
@@ -1421,8 +1537,7 @@ fn dense_tile<A: TileAcc, const B: usize>(
 fn dense_blocked<A: TileAcc>(
     columns: &[i32],
     weights: &[i8],
-    in_features: usize,
-    out_features: usize,
+    (in_features, out_features): (usize, usize),
     w_out: &impl WriteOut,
     scratch: &mut Scratch,
     lane_outs: &mut [Vec<i32>],
@@ -1629,7 +1744,7 @@ pub(crate) fn maxpool_batch_core<S: AsRef<[i32]>>(
             assert_eq!(codes.as_ref().len(), ch * h * w, "activation size mismatch");
         }
         let mut columns = scratch.take_i32(ch * h * w * B);
-        fill_columns::<_, B>(tile, &mut columns);
+        fill_columns(tile, &mut columns);
         let (cols, rest) = columns.as_chunks::<B>();
         debug_assert!(rest.is_empty());
         let base = outs.len();
@@ -1693,7 +1808,7 @@ pub(crate) fn avgpool_batch_core<S: AsRef<[i32]>>(
             assert_eq!(codes.as_ref().len(), ch * h * w, "activation size mismatch");
         }
         let mut columns = scratch.take_i32(ch * h * w * B);
-        fill_columns::<_, B>(tile, &mut columns);
+        fill_columns(tile, &mut columns);
         let (cols, rest) = columns.as_chunks::<B>();
         debug_assert!(rest.is_empty());
         let base = outs.len();
@@ -1720,6 +1835,370 @@ pub(crate) fn avgpool_batch_core<S: AsRef<[i32]>>(
             }
         }
         scratch.put_i32(columns);
+    }
+}
+
+/// The pair-madd tile kernels — the batched direct-conv and dense path
+/// on x86-64 whenever [`tile_path`] admits a tile.
+///
+/// Each image lane of a batch-minor column holds **two** adjacent
+/// reduction terms (an input-channel pair for a conv, an input-feature
+/// pair for dense) as two `i16` halves of one `i32` slot
+/// ([`fill_pair_columns`]), and each weight pair is one `i32` packed at
+/// plan time ([`TileWeights`]). `_mm_madd_epi16` multiplies the halves
+/// pairwise and adds the two products into an `i32` lane: eight exact
+/// multiply-accumulates per instruction, where the generic `i32` tile
+/// needs a 32-bit multiply per term (which baseline x86-64 emulates).
+/// Every product (`|w| <= 128`, `|a| <= i16::MAX`) and every pair sum is
+/// far inside `i32`, and [`tile_path`] proves no accumulated sum can
+/// leave it, so the lanes hold exactly the integers the solo loop sums.
+///
+/// The base kernels are SSE2, which every x86-64 CPU has: no run-time
+/// detection. Plans on the avx2 tier run the same bodies 256 bits wide
+/// (`_mm256_madd_epi16`, one register per tile). A register block of
+/// filters (or output features) shares each column load, so one load
+/// feeds several `pmaddwd`s.
+#[cfg(target_arch = "x86_64")]
+mod madd {
+    use super::{
+        valid_spatial_taps, NativeBackend, TileWeights, WriteOut, DENSE_BLOCK_IN, DENSE_BLOCK_OUT,
+    };
+    use std::arch::x86_64::*;
+    use wp_core::reference::PooledConvShape;
+
+    /// Lanes per column slot run: one tile of images.
+    const B: usize = NativeBackend::BATCH_TILE;
+
+    /// Filters (or output features) accumulated per register block in the
+    /// 128-bit form: each column load feeds this many `pmaddwd` pairs,
+    /// and the block's accumulators (two registers each) plus the loaded
+    /// column still fit the sixteen SSE registers.
+    const SSE2_BLOCK: usize = 4;
+
+    /// The register block of the 256-bit form: one register per
+    /// accumulator, so twice as many filters share each column load
+    /// (measured ~12–15% faster than four on the demo-stem convs).
+    const AVX2_BLOCK: usize = 8;
+
+    /// A tile's eight `i32` accumulator (or pair-column) lanes in
+    /// registers — the one seam between the 128-bit and 256-bit forms.
+    trait Lanes: Copy {
+        fn zero() -> Self;
+        fn load(slots: &[i32; B]) -> Self;
+        fn store(self, slots: &mut [i32; B]);
+        /// `self + pmaddwd(a, broadcast(w))` per lane: each lane gains
+        /// `a.lo · w.lo + a.hi · w.hi`.
+        fn madd(self, a: Self, w: i32) -> Self;
+    }
+
+    /// Eight lanes in two SSE2 registers.
+    #[derive(Clone, Copy)]
+    struct Sse2(__m128i, __m128i);
+
+    impl Lanes for Sse2 {
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: SSE2 is part of the x86-64 baseline every target of
+            // this module has.
+            unsafe { Self(_mm_setzero_si128(), _mm_setzero_si128()) }
+        }
+
+        #[inline(always)]
+        fn load(slots: &[i32; B]) -> Self {
+            let p = slots.as_ptr().cast::<__m128i>();
+            // SAFETY: `slots` is eight contiguous `i32`s, i.e. the two
+            // 16-byte halves at `p` and `p + 1`; `loadu` has no alignment
+            // requirement.
+            unsafe { Self(_mm_loadu_si128(p), _mm_loadu_si128(p.add(1))) }
+        }
+
+        #[inline(always)]
+        fn store(self, slots: &mut [i32; B]) {
+            let p = slots.as_mut_ptr().cast::<__m128i>();
+            // SAFETY: as in `load`, for the two halves of `slots`.
+            unsafe {
+                _mm_storeu_si128(p, self.0);
+                _mm_storeu_si128(p.add(1), self.1);
+            }
+        }
+
+        #[inline(always)]
+        fn madd(self, a: Self, w: i32) -> Self {
+            // SAFETY: SSE2 is part of the x86-64 baseline (see `zero`).
+            unsafe {
+                let w = _mm_set1_epi32(w);
+                Self(
+                    _mm_add_epi32(self.0, _mm_madd_epi16(a.0, w)),
+                    _mm_add_epi32(self.1, _mm_madd_epi16(a.1, w)),
+                )
+            }
+        }
+    }
+
+    /// Eight lanes in one AVX2 register. Only ever used inside the
+    /// `#[target_feature(enable = "avx2")]` entry points below, which
+    /// callers reach only on a CPU that reported AVX2 at run time.
+    #[derive(Clone, Copy)]
+    struct Avx2(__m256i);
+
+    impl Lanes for Avx2 {
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: AVX2 was detected before any `Avx2` value exists
+            // (see the type docs).
+            unsafe { Self(_mm256_setzero_si256()) }
+        }
+
+        #[inline(always)]
+        fn load(slots: &[i32; B]) -> Self {
+            // SAFETY: AVX2 was detected (type docs); `slots` is 32
+            // contiguous bytes and `loadu` has no alignment requirement.
+            unsafe { Self(_mm256_loadu_si256(slots.as_ptr().cast())) }
+        }
+
+        #[inline(always)]
+        fn store(self, slots: &mut [i32; B]) {
+            // SAFETY: as in `load`.
+            unsafe { _mm256_storeu_si256(slots.as_mut_ptr().cast(), self.0) }
+        }
+
+        #[inline(always)]
+        fn madd(self, a: Self, w: i32) -> Self {
+            // SAFETY: AVX2 was detected (type docs).
+            unsafe { Self(_mm256_add_epi32(self.0, _mm256_madd_epi16(a.0, _mm256_set1_epi32(w)))) }
+        }
+    }
+
+    /// Writes one block's finished accumulators: lane `b` of `acc[f]`
+    /// is image `b`'s sum for output channel `k0 + f`, stored at
+    /// `k * plane + o` of that image's output.
+    #[inline(always)]
+    fn emit_block<L: Lanes, const F: usize>(
+        acc: &[L; F],
+        k0: usize,
+        plane: usize,
+        o: usize,
+        w_out: &impl WriteOut,
+        tile_outs: &mut [Vec<i32>],
+    ) {
+        for (f, a) in acc.iter().enumerate() {
+            let k = k0 + f;
+            let mut lanes = [0i32; B];
+            a.store(&mut lanes);
+            for (out, &v) in tile_outs.iter_mut().zip(&lanes) {
+                out[k * plane + o] = w_out.emit(k, v as i64);
+            }
+        }
+    }
+
+    /// One output pixel's sums for filters `k0..k0 + F`: every channel
+    /// pair's in-bounds taps, each column load shared by the block.
+    #[inline(always)]
+    fn direct_block<L: Lanes, const F: usize>(
+        cols: &[[i32; B]],
+        weights: &TileWeights,
+        plane: usize,
+        taps: &[(usize, usize)],
+        k0: usize,
+    ) -> [L; F] {
+        let kk = weights.inner;
+        let row = weights.pairs * kk;
+        let mut acc = [L::zero(); F];
+        for p in 0..weights.pairs {
+            let wp: [&[i32]; F] =
+                std::array::from_fn(|f| &weights.paired[(k0 + f) * row + p * kk..][..kk]);
+            let col = &cols[p * plane..][..plane];
+            for &(t, sp) in taps {
+                let a = L::load(&col[sp]);
+                for (acc, wp) in acc.iter_mut().zip(&wp) {
+                    *acc = acc.madd(a, wp[t]);
+                }
+            }
+        }
+        acc
+    }
+
+    /// The direct-conv madd tile: `columns` holds one full tile as
+    /// channel-pair columns (`(p * plane + sp) * B + b`). Output pixels
+    /// are outermost, then register blocks of filters, so each block's
+    /// accumulators stay in registers across all `ceil(C/2) · R · S`
+    /// weight pairs. `use_avx2` selects the 256-bit form where the CPU
+    /// has AVX2.
+    pub(super) fn direct_tile(
+        columns: &[i32],
+        shape: &PooledConvShape,
+        weights: &TileWeights,
+        w_out: &impl WriteOut,
+        taps: &mut Vec<(usize, usize)>,
+        tile_outs: &mut [Vec<i32>],
+        use_avx2: bool,
+    ) {
+        if use_avx2 && is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just checked (a cached lookup).
+            unsafe { direct_tile_avx2(columns, shape, weights, w_out, taps, tile_outs) }
+        } else {
+            direct_body::<Sse2, SSE2_BLOCK>(columns, shape, weights, w_out, taps, tile_outs)
+        }
+    }
+
+    /// [`direct_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn direct_tile_avx2(
+        columns: &[i32],
+        shape: &PooledConvShape,
+        weights: &TileWeights,
+        w_out: &impl WriteOut,
+        taps: &mut Vec<(usize, usize)>,
+        tile_outs: &mut [Vec<i32>],
+    ) {
+        direct_body::<Avx2, AVX2_BLOCK>(columns, shape, weights, w_out, taps, tile_outs)
+    }
+
+    #[inline(always)]
+    fn direct_body<L: Lanes, const F: usize>(
+        columns: &[i32],
+        shape: &PooledConvShape,
+        weights: &TileWeights,
+        w_out: &impl WriteOut,
+        taps: &mut Vec<(usize, usize)>,
+        tile_outs: &mut [Vec<i32>],
+    ) {
+        let geo = shape.geometry();
+        let (oh, ow) = (geo.out_h(), geo.out_w());
+        let plane = shape.in_h * shape.in_w;
+        let (cols, rest) = columns.as_chunks::<B>();
+        debug_assert!(rest.is_empty());
+        debug_assert_eq!(tile_outs.len(), B);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                valid_spatial_taps(&geo, shape.kernel, shape.in_w, oy, ox, taps);
+                let o = oy * ow + ox;
+                let mut k = 0;
+                while k + F <= shape.out_ch {
+                    let acc = direct_block::<L, F>(cols, weights, plane, taps, k);
+                    emit_block(&acc, k, oh * ow, o, w_out, tile_outs);
+                    k += F;
+                }
+                for k in k..shape.out_ch {
+                    let acc = direct_block::<L, 1>(cols, weights, plane, taps, k);
+                    emit_block(&acc, k, oh * ow, o, w_out, tile_outs);
+                }
+            }
+        }
+    }
+
+    /// Adds pairs `p_range` of output features `o0..o0 + F` into their
+    /// accumulator rows (`acc[o_local * chunks + c]` for lane chunk `c`),
+    /// each column load shared by the block.
+    #[inline(always)]
+    fn dense_block<L: Lanes, const F: usize>(
+        cols: &[[i32; B]],
+        weights: &TileWeights,
+        acc: &mut [[i32; B]],
+        chunks: usize,
+        (o0, o_local): (usize, usize),
+        p_range: std::ops::Range<usize>,
+    ) {
+        let wp: [&[i32]; F] =
+            std::array::from_fn(|f| &weights.paired[(o0 + f) * weights.pairs..][p_range.clone()]);
+        for c in 0..chunks {
+            let mut regs: [L; F] =
+                std::array::from_fn(|f| L::load(&acc[(o_local + f) * chunks + c]));
+            for (i, p) in p_range.clone().enumerate() {
+                let a = L::load(&cols[p * chunks + c]);
+                for (r, wp) in regs.iter_mut().zip(&wp) {
+                    *r = r.madd(a, wp[i]);
+                }
+            }
+            for (f, r) in regs.iter().enumerate() {
+                r.store(&mut acc[(o_local + f) * chunks + c]);
+            }
+        }
+    }
+
+    /// The dense madd kernel over a group of `lanes` (a multiple of
+    /// [`B`]) images — one tile, or every full tile of a batch at once:
+    /// `columns` holds feature-pair columns (`p * lanes + b`). The weight
+    /// matrix is walked in `DENSE_BLOCK_OUT × DENSE_BLOCK_IN` blocks, each
+    /// applied to every lane before moving on, with the block's
+    /// accumulators persisting in `acc` (`DENSE_BLOCK_OUT * lanes`
+    /// slots) across input blocks. `use_avx2` as in [`direct_tile`].
+    pub(super) fn dense(
+        columns: &[i32],
+        weights: &TileWeights,
+        w_out: &impl WriteOut,
+        acc: &mut [i32],
+        lane_outs: &mut [Vec<i32>],
+        use_avx2: bool,
+    ) {
+        if use_avx2 && is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just checked (a cached lookup).
+            unsafe { dense_avx2(columns, weights, w_out, acc, lane_outs) }
+        } else {
+            dense_body::<Sse2, SSE2_BLOCK>(columns, weights, w_out, acc, lane_outs)
+        }
+    }
+
+    /// [`dense_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn dense_avx2(
+        columns: &[i32],
+        weights: &TileWeights,
+        w_out: &impl WriteOut,
+        acc: &mut [i32],
+        lane_outs: &mut [Vec<i32>],
+    ) {
+        dense_body::<Avx2, AVX2_BLOCK>(columns, weights, w_out, acc, lane_outs)
+    }
+
+    #[inline(always)]
+    fn dense_body<L: Lanes, const F: usize>(
+        columns: &[i32],
+        weights: &TileWeights,
+        w_out: &impl WriteOut,
+        acc: &mut [i32],
+        lane_outs: &mut [Vec<i32>],
+    ) {
+        let chunks = lane_outs.len() / B;
+        debug_assert_eq!(lane_outs.len(), chunks * B);
+        let (cols, rest) = columns.as_chunks::<B>();
+        debug_assert!(rest.is_empty());
+        let (acc, _) = acc.as_chunks_mut::<B>();
+        let pair_block = DENSE_BLOCK_IN / 2;
+        for o_base in (0..weights.rows).step_by(DENSE_BLOCK_OUT) {
+            let o_count = DENSE_BLOCK_OUT.min(weights.rows - o_base);
+            acc[..o_count * chunks].fill([0; B]);
+            for p_base in (0..weights.pairs).step_by(pair_block) {
+                let p_range = p_base..(p_base + pair_block).min(weights.pairs);
+                let mut o = 0;
+                while o + F <= o_count {
+                    let at = (o_base + o, o);
+                    dense_block::<L, F>(cols, weights, acc, chunks, at, p_range.clone());
+                    o += F;
+                }
+                for o in o..o_count {
+                    let at = (o_base + o, o);
+                    dense_block::<L, 1>(cols, weights, acc, chunks, at, p_range.clone());
+                }
+            }
+            for o_local in 0..o_count {
+                let o = o_base + o_local;
+                let rows = &acc[o_local * chunks..][..chunks];
+                for (outs, row) in lane_outs.chunks_exact_mut(B).zip(rows) {
+                    for (out, &v) in outs.iter_mut().zip(row) {
+                        out[o] = w_out.emit(o, v as i64);
+                    }
+                }
+            }
+        }
     }
 }
 

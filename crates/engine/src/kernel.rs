@@ -15,11 +15,12 @@
 //! way (SWIS-style): a batch tile is transposed to batch-minor columns
 //! and each weight/tap is decoded once per tile instead of once per
 //! image, which only reassociates *independent* per-image sums — see
-//! [`crate::backend`] for each kernel's exactness argument. At low
-//! activation bitwidths the direct-conv and dense kernels route batches
-//! through the bit-plane popcount tiles instead
-//! ([`swar::conv_direct_batch`]/[`swar::dense_acc_batch`]), where one
-//! weight-plane load feeds eight images — same contract, same integers.
+//! [`crate::backend`] for each kernel's exactness argument. The
+//! direct-conv and dense kernels run full batch tiles through the
+//! pair-madd int8 tiles at every activation bitwidth, and the batch's
+//! tail through their solo path — which at low activation bitwidths is
+//! the bit-plane popcount kernels ([`swar::conv_direct`] /
+//! [`swar::dense_acc`]); same contract, same integers.
 //! Max/avg pooling run lane-parallel window loops; global pooling and
 //! residual keep the default `run_batch`, which maps `run_solo`.
 //!
@@ -34,7 +35,7 @@
 //! [`Kernel::accumulate`], which is what per-layer requant calibration
 //! consumes ([`crate::PreparedNet::calibrate_multipliers`]).
 
-use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices};
+use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices, TileWeights};
 use crate::options::ResolvedBackend;
 use crate::scratch::Scratch;
 use crate::swar;
@@ -49,7 +50,7 @@ fn scalar_tier(ctx: &KernelCtx<'_>) -> bool {
 }
 
 /// `Some(use_avx2)` when the solo bit-plane popcount kernels should run
-/// for this call: a swar-or-better tier at an activation bitwidth low
+/// for a solo call: a swar-or-better tier at an activation bitwidth low
 /// enough that popcounting 8 weight planes beats the per-element MAC.
 /// The threshold is the backend's routing limit (engine option, default
 /// [`swar::POPCOUNT_MAX_BITS`]). The scalar tier never routes here.
@@ -63,20 +64,45 @@ fn popcount_path(ctx: &KernelCtx<'_>) -> Option<bool> {
     }
 }
 
-/// `Some(use_avx2)` when the **batched** bit-plane popcount tiles should
-/// run: as [`popcount_path`], but against the stronger int8-tile
-/// baseline, so capped at [`swar::POPCOUNT_BATCH_MAX_BITS`] (and never
-/// above the backend's solo threshold — a limit of 0 turns both paths
-/// off).
-fn popcount_batch_path(ctx: &KernelCtx<'_>) -> Option<bool> {
-    match ctx.backend.simd() {
-        ResolvedBackend::Scalar => None,
-        tier if ctx.act_bits
-            <= ctx.backend.popcount_max_bits().min(swar::POPCOUNT_BATCH_MAX_BITS) =>
-        {
-            Some(tier == ResolvedBackend::Avx2)
-        }
-        _ => None,
+/// Runs a direct-conv or dense layer's batch: full tiles of
+/// [`NativeBackend::BATCH_TILE`] images through the batched int8 core
+/// `tiles` (the pair-madd tiles — 256 bits wide on the avx2 tier — or
+/// the generic tiles for a tile they do not admit), and the tail through
+/// the kernel's own solo path, so a tail at popcount bitwidths keeps the
+/// solo bit-plane kernels.
+fn run_batch_tiled<K: Kernel + ?Sized>(
+    kernel: &K,
+    ctx: &KernelCtx<'_>,
+    planes: Vec<Vec<i32>>,
+    scratch: &mut Scratch,
+    tiles: impl FnOnce(&[Vec<i32>], bool, &FusedOut<'_>, &mut Scratch, &mut Vec<Vec<i32>>),
+) -> Vec<Vec<i32>> {
+    if scalar_tier(ctx) {
+        return run_batch_solo_map(kernel, ctx, planes, scratch);
+    }
+    let full = planes.len() / NativeBackend::BATCH_TILE * NativeBackend::BATCH_TILE;
+    let use_avx2 = ctx.backend.simd() == ResolvedBackend::Avx2;
+    let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
+    let mut outs = scratch.take_planes(planes.len());
+    tiles(&planes[..full], use_avx2, &w_out, scratch, &mut outs);
+    for p in &planes[full..] {
+        let out = kernel.run_solo(ctx, p, scratch);
+        outs.push(out);
+    }
+    scratch.put_planes(planes);
+    outs
+}
+
+/// The span tier of a direct-conv or dense call: batched calls on the
+/// swar/avx2 tiers run the pair-madd tiles (x86-64), solo calls the
+/// popcount kernels where [`popcount_path`] routes them.
+fn int8_span_tier(ctx: &KernelCtx<'_>, batched: bool) -> u8 {
+    if batched && cfg!(target_arch = "x86_64") && !scalar_tier(ctx) {
+        return trace::madd_tier_code(ctx.backend.simd() == ResolvedBackend::Avx2);
+    }
+    match popcount_path(ctx).filter(|_| !batched) {
+        Some(use_avx2) => trace::popcount_tier_code(use_avx2),
+        None => trace::tier_code(ctx.backend.simd()),
     }
 }
 
@@ -106,9 +132,9 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// The trace tier code this call's span should carry (see
-    /// [`trace::tier_name`]): the backend tier by default; kernels that
-    /// route through the bit-plane popcount path report the popcount
-    /// variant so profiles distinguish it from the int8 tile path.
+    /// [`trace::tier_name`]): the backend tier by default; the
+    /// direct-conv and dense kernels report the popcount or madd variant
+    /// they ran, so profiles tell those paths apart.
     fn span_tier(&self, ctx: &KernelCtx<'_>, batched: bool) -> u8 {
         let _ = batched;
         trace::tier_code(ctx.backend.simd())
@@ -238,32 +264,32 @@ impl Kernel for PooledConvKernel {
 
 /// Direct int8 convolution (uncompressed stem layers).
 ///
-/// Compiled once per plan: the weights are also packed into bit planes
-/// ([`swar::PackedWeights`]) so the swar/avx2 tiers can run the solo
-/// *and batched* popcount kernels at low activation bitwidths.
+/// Compiled once per plan: the weights are also packed as i16 channel
+/// pairs for the batched madd tiles, and into bit planes
+/// ([`swar::PackedWeights`]) for the solo popcount kernels at low
+/// activation bitwidths.
 #[derive(Debug, Clone)]
 pub struct DirectConvKernel {
     /// Conv geometry.
     shape: PooledConvShape,
-    /// `[K, C, R, S]` int8 weights.
-    weights: Vec<i8>,
+    /// `[K, C, R, S]` int8 weights, also packed as i16 channel pairs.
+    weights: TileWeights,
     /// The same weights as bit planes, one row per output channel.
     packed: swar::PackedWeights,
 }
 
 impl DirectConvKernel {
     /// Compiles the kernel, packing `weights` (`[K, C, R, S]`, one row of
-    /// `C*R*S` taps per output channel) into bit planes.
+    /// `C*R*S` taps per output channel) into channel pairs and bit
+    /// planes.
     ///
     /// # Panics
     ///
     /// Panics if `weights` does not match the shape's filter count.
     pub fn new(shape: PooledConvShape, weights: Vec<i8>) -> Self {
-        let packed = swar::PackedWeights::pack(
-            &weights,
-            shape.out_ch,
-            shape.in_ch * shape.kernel * shape.kernel,
-        );
+        let kk = shape.kernel * shape.kernel;
+        let packed = swar::PackedWeights::pack(&weights, shape.out_ch, shape.in_ch * kk);
+        let weights = TileWeights::new(weights, shape.out_ch, shape.in_ch, kk);
         Self { shape, weights, packed }
     }
 }
@@ -274,10 +300,7 @@ impl Kernel for DirectConvKernel {
     }
 
     fn span_tier(&self, ctx: &KernelCtx<'_>, batched: bool) -> u8 {
-        match if batched { popcount_batch_path(ctx) } else { popcount_path(ctx) } {
-            Some(use_avx2) => trace::popcount_tier_code(use_avx2),
-            None => trace::tier_code(ctx.backend.simd()),
-        }
+        int8_span_tier(ctx, batched)
     }
 
     fn accumulate(
@@ -290,7 +313,7 @@ impl Kernel for DirectConvKernel {
             Some(use_avx2) => {
                 swar::conv_direct_scratch(codes, &self.shape, &self.packed, use_avx2, scratch)
             }
-            None => backend::conv_direct_scratch(codes, &self.shape, &self.weights, scratch),
+            None => backend::conv_direct_scratch(codes, &self.shape, self.weights.int8(), scratch),
         };
         Some((acc, out_plane(&self.shape)))
     }
@@ -301,32 +324,17 @@ impl Kernel for DirectConvKernel {
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
-        }
-        let mut outs = scratch.take_planes(planes.len());
-        let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::conv_direct_batch_core(
-                &planes,
-                &self.shape,
-                &self.packed,
-                use_avx2,
-                &w_out,
-                scratch,
-                &mut outs,
-            ),
-            None => backend::conv_direct_batch_core(
-                &planes,
+        run_batch_tiled(self, ctx, planes, scratch, |tiles, use_avx2, w_out, scratch, outs| {
+            backend::conv_direct_batch_core(
+                tiles,
                 &self.shape,
                 &self.weights,
-                &w_out,
+                use_avx2,
+                w_out,
                 scratch,
-                &mut outs,
-            ),
-        }
-        scratch.put_planes(planes);
-        outs
+                outs,
+            )
+        })
     }
 }
 
@@ -381,12 +389,13 @@ impl Kernel for DwConvKernel {
 
 /// Fully-connected int8 layer.
 ///
-/// Like [`DirectConvKernel`], carries a bit-plane packing of its weights
-/// for the swar/avx2 solo and batched popcount paths.
+/// Like [`DirectConvKernel`], carries its weights packed as i16 pairs
+/// (batched madd tiles) and as bit planes (solo popcount path).
 #[derive(Debug, Clone)]
 pub struct DenseKernel {
-    /// `[O, I]` int8 weights, row per output feature.
-    weights: Vec<i8>,
+    /// `[O, I]` int8 weights, row per output feature, also packed as
+    /// i16 input-feature pairs.
+    weights: TileWeights,
     /// Output features `O`.
     out_features: usize,
     /// The same weights as bit planes, one row per output feature.
@@ -394,7 +403,8 @@ pub struct DenseKernel {
 }
 
 impl DenseKernel {
-    /// Compiles the kernel, packing `weights` (`[O, I]`) into bit planes.
+    /// Compiles the kernel, packing `weights` (`[O, I]`) into feature
+    /// pairs and bit planes.
     ///
     /// # Panics
     ///
@@ -404,6 +414,7 @@ impl DenseKernel {
         assert_eq!(weights.len() % out_features, 0, "weight size mismatch");
         let in_features = weights.len() / out_features;
         let packed = swar::PackedWeights::pack(&weights, out_features, in_features);
+        let weights = TileWeights::new(weights, out_features, in_features, 1);
         Self { weights, out_features, packed }
     }
 }
@@ -414,10 +425,7 @@ impl Kernel for DenseKernel {
     }
 
     fn span_tier(&self, ctx: &KernelCtx<'_>, batched: bool) -> u8 {
-        match if batched { popcount_batch_path(ctx) } else { popcount_path(ctx) } {
-            Some(use_avx2) => trace::popcount_tier_code(use_avx2),
-            None => trace::tier_code(ctx.backend.simd()),
-        }
+        int8_span_tier(ctx, batched)
     }
 
     fn accumulate(
@@ -428,7 +436,9 @@ impl Kernel for DenseKernel {
     ) -> Option<(Vec<i32>, usize)> {
         let acc = match popcount_path(ctx) {
             Some(use_avx2) => swar::dense_acc_scratch(codes, &self.packed, use_avx2, scratch),
-            None => backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch),
+            None => {
+                backend::dense_acc_scratch(codes, self.weights.int8(), self.out_features, scratch)
+            }
         };
         Some((acc, 1))
     }
@@ -439,31 +449,9 @@ impl Kernel for DenseKernel {
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
-        }
-        let mut outs = scratch.take_planes(planes.len());
-        let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::dense_acc_batch_core(
-                &planes,
-                &self.packed,
-                use_avx2,
-                &w_out,
-                scratch,
-                &mut outs,
-            ),
-            None => backend::dense_acc_batch_core(
-                &planes,
-                &self.weights,
-                self.out_features,
-                &w_out,
-                scratch,
-                &mut outs,
-            ),
-        }
-        scratch.put_planes(planes);
-        outs
+        run_batch_tiled(self, ctx, planes, scratch, |tiles, use_avx2, w_out, scratch, outs| {
+            backend::dense_acc_batch_core(tiles, &self.weights, use_avx2, w_out, scratch, outs)
+        })
     }
 }
 

@@ -6,15 +6,16 @@
 //! * **scalar** — the straightforward per-element reference loops; the
 //!   always-available fallback, and the baseline the SWAR tier is gated
 //!   against in `engine_throughput`.
-//! * **swar** — bit-plane tiles packed into `u64` lanes: the 8×8
-//!   bit-matrix transpose in the pooled-conv fill, popcount bit-plane
-//!   direct/dense kernels at low activation bitwidths, and the
-//!   weight-stationary batched tile kernels with fused bias+requant
-//!   write-out. Portable Rust; no CPU features required.
-//! * **avx2** — the swar tier with its popcount inner loops routed
-//!   through `std::arch` AVX2 (SSSE3-style nibble-shuffle population
-//!   count over 256-bit lanes), selected only when the CPU reports AVX2
-//!   at run time.
+//! * **swar** — the 8×8 bit-matrix transpose in the pooled-conv fill,
+//!   popcount bit-plane direct/dense kernels for solo calls at low
+//!   activation bitwidths, and the weight-stationary batched tile
+//!   kernels with fused bias+requant write-out — on x86-64 the batched
+//!   direct-conv/dense tiles are the SSE2 pair-madd (`pmaddwd`) kernels.
+//!   No CPU features beyond the architecture baseline.
+//! * **avx2** — the swar tier with its pair-madd tiles 256 bits wide and
+//!   its solo popcount inner loops routed through `std::arch` AVX2
+//!   (nibble-shuffle population count), selected only when the CPU
+//!   reports AVX2 at run time.
 //!
 //! Callers pick a tier through [`BackendKind`] on the [`EngineOptions`]
 //! builder; `Auto` resolves via runtime CPU detection (and honors the
@@ -40,7 +41,7 @@ pub enum BackendKind {
     Scalar,
     /// Bit-plane `u64` SWAR kernels + batched tile kernels.
     Swar,
-    /// Swar with `std::arch` AVX2 popcount inner loops.
+    /// Swar with 256-bit AVX2 madd tiles and popcount inner loops.
     Avx2,
 }
 
@@ -106,7 +107,7 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Whether this CPU can run the AVX2 popcount path.
+/// Whether this CPU can run the AVX2 kernels.
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -126,7 +127,7 @@ pub enum ResolvedBackend {
     Scalar,
     /// Portable `u64` bit-plane / batched tile kernels.
     Swar,
-    /// Swar with AVX2 popcount inner loops.
+    /// Swar with AVX2 madd tiles and popcount inner loops.
     Avx2,
 }
 
@@ -179,7 +180,7 @@ pub struct EngineOptions {
     pub(crate) weight_seed: u64,
     /// Kernel tier selection, resolved at plan-compile time.
     pub(crate) backend: BackendKind,
-    /// Bit-plane popcount routing threshold override (see
+    /// Solo bit-plane popcount routing threshold override (see
     /// [`crate::swar::resolve_popcount_max_bits`]); `None` keeps the
     /// built-in default.
     pub(crate) popcount_max_bits: Option<u8>,
@@ -244,8 +245,9 @@ impl EngineOptions {
     }
 
     /// Overrides the activation bitwidth at or below which the swar/avx2
-    /// tiers route direct-conv and dense layers through the bit-plane
-    /// popcount kernels (0 disables them; `from_bundle` panics above 8).
+    /// tiers route **solo** direct-conv and dense calls through the
+    /// bit-plane popcount kernels (0 disables them; `from_bundle` panics
+    /// above 8). Batches run the batched int8 tiles at any setting.
     /// Unset, the threshold is the built-in
     /// [`crate::swar::POPCOUNT_MAX_BITS`].
     pub fn with_popcount_max_bits(mut self, bits: u8) -> Self {
@@ -283,7 +285,7 @@ impl EngineOptions {
         self.backend
     }
 
-    /// The popcount routing threshold override, if any.
+    /// The solo popcount routing threshold override, if any.
     pub fn popcount_max_bits(&self) -> Option<u8> {
         self.popcount_max_bits
     }

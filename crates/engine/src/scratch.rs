@@ -24,7 +24,7 @@
 //! and buffer reuse keeps each worker's working set hot in its own
 //! cache, the host-side analogue of the paper's per-core SRAM budget.
 
-use crate::swar::{BatchBitPlanes, BitPlanes};
+use crate::swar::BitPlanes;
 
 /// Size classes cover capacities `2^0 ..= 2^63` — every `usize` length.
 const BUCKETS: usize = 64;
@@ -62,8 +62,6 @@ pub struct Scratch {
     /// Solo activation bit-plane packs (their internal storage grows
     /// monotonically to the largest pack they've seen).
     bitplanes: Vec<BitPlanes>,
-    /// Batched (8-lane) activation bit-plane packs.
-    batch_bitplanes: Vec<BatchBitPlanes>,
 }
 
 impl Default for Scratch {
@@ -81,7 +79,6 @@ impl Scratch {
             pairs: Vec::new(),
             planes: Vec::new(),
             bitplanes: Vec::new(),
-            batch_bitplanes: Vec::new(),
         }
     }
 
@@ -158,16 +155,6 @@ impl Scratch {
     /// Returns a solo bit-plane pack.
     pub fn put_bitplanes(&mut self, pack: BitPlanes) {
         self.bitplanes.push(pack);
-    }
-
-    /// Checks out a batched (8-lane) activation bit-plane pack.
-    pub fn take_batch_bitplanes(&mut self) -> BatchBitPlanes {
-        self.batch_bitplanes.pop().unwrap_or_default()
-    }
-
-    /// Returns a batched bit-plane pack.
-    pub fn put_batch_bitplanes(&mut self, pack: BatchBitPlanes) {
-        self.batch_bitplanes.push(pack);
     }
 }
 

@@ -1,4 +1,5 @@
-//! Bit-plane tile kernels: int8×intM dot products as `u64` popcounts.
+//! Bit-plane kernels for **solo** execution: int8×intM dot products as
+//! `u64` popcounts.
 //!
 //! The direct-conv and dense kernels multiply int8 weights by small
 //! integer activation codes. Decompose both sides into bit planes and
@@ -18,23 +19,27 @@
 //!
 //! an **exact integer identity** — no approximation anywhere, so the
 //! result is bit-for-bit the scalar kernel's accumulator (pinned by the
-//! differential tests below and in `tests/backend_parity.rs`). The row
+//! differential tests below and in `tests/popcount_parity.rs`). The row
 //! sums `Σw'` are precomputed at pack time; `Σd` costs one popcount
 //! sweep per activation vector.
 //!
 //! The weight side always has 8 planes; the activation side has
 //! `bits(max − lo)` planes, so the popcount work scales with the
 //! *activation* bitwidth — the same bit-serial scaling the paper's MCU
-//! kernels get, which is why the kernels engage this path at low
+//! kernels get, which is why the solo kernels engage this path at low
 //! `act_bits` and fall back to the scalar MAC loops at high widths
 //! (where a multiplier beats 8×8 plane passes).
+//!
+//! Full batch tiles do not come here: the weight-stationary pair-madd
+//! tiles ([`crate::backend`]) beat an 8-lane popcount tile at every
+//! activation bitwidth, so this module serves solo calls only (which
+//! include a batch's tail of fewer than eight images).
 //!
 //! `and_popcount` is the only inner loop: portable SWAR `count_ones` by
 //! default, or an AVX2 nibble-shuffle popcount (`_mm256_shuffle_epi8` +
 //! `_mm256_sad_epu8`) when the resolved backend is `avx2` — both count
 //! the same bits, so tier choice cannot change a single output.
 
-use crate::backend::{RawOut, WriteOut};
 use crate::scratch::Scratch;
 use wp_core::reference::PooledConvShape;
 use wp_tensor::Conv2dGeometry;
@@ -153,92 +158,6 @@ impl BitPlanes {
     }
 }
 
-/// How many images a batched bit-plane tile packs together — one `u64`
-/// lane slot per image, so a weight word is loaded once and
-/// AND+popcounted against all eight lanes. Matches the tile width of the
-/// int8 batch kernels ([`crate::NativeBackend::BATCH_TILE`]) so the two
-/// paths tile a batch identically.
-pub const LANES: usize = 8;
-
-/// A full tile of [`LANES`] activation vectors decomposed into bit
-/// planes, stored **batch-minor**: plane `j`, word `w` holds the eight
-/// images' words adjacent at `(j * words + w) * LANES`, so one weight
-/// word ANDs against all lanes with consecutive loads. Each lane keeps
-/// its own offset/sum correction terms — the identity is applied per
-/// lane, so every lane's dot product is exactly its solo value.
-#[derive(Debug, Clone, Default)]
-pub struct BatchBitPlanes {
-    words: usize,
-    /// Shared plane count: `max` over lanes of `bits(max - lo)` (a lane
-    /// narrower than the tile just has zero high planes, contributing
-    /// nothing — exactness is per lane).
-    plane_count: usize,
-    planes: Vec<u64>,
-    lo: [i64; LANES],
-    sum_shifted: [i64; LANES],
-    len: usize,
-}
-
-impl BatchBitPlanes {
-    /// An empty pack (repack with [`BatchBitPlanes::pack`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Decomposes a tile of exactly [`LANES`] equal-length vectors into
-    /// batch-minor bit planes, reusing this pack's storage. Per lane the
-    /// decomposition (offset, shifted sum, plane bits) is identical to
-    /// [`BitPlanes::pack`] on that lane alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lanes` holds exactly [`LANES`] vectors of one
-    /// common length.
-    pub fn pack<S: AsRef<[i32]>>(&mut self, lanes: &[S]) {
-        assert_eq!(lanes.len(), LANES, "batch bit-plane tile must be {LANES} wide");
-        let len = lanes[0].as_ref().len();
-        let mut plane_count = 0usize;
-        for (b, lane) in lanes.iter().enumerate() {
-            let vals = lane.as_ref();
-            assert_eq!(vals.len(), len, "tile lanes must have one common length");
-            let lo = vals.iter().copied().min().unwrap_or(0).min(0) as i64;
-            let hi = vals.iter().copied().max().unwrap_or(0).max(0) as i64;
-            let span = (hi - lo) as u64;
-            plane_count = plane_count.max((64 - span.leading_zeros()) as usize);
-            self.lo[b] = lo;
-        }
-        let words = len.div_ceil(64).max(1);
-        self.words = words;
-        self.plane_count = plane_count;
-        self.len = len;
-        self.planes.clear();
-        self.planes.resize(plane_count * words * LANES, 0);
-        for (b, lane) in lanes.iter().enumerate() {
-            let lo = self.lo[b];
-            let mut sum = 0i64;
-            for (i, &v) in lane.as_ref().iter().enumerate() {
-                let mut d = (v as i64 - lo) as u64;
-                sum += d as i64;
-                let (word, bit) = (i / 64, i % 64);
-                let mut j = 0usize;
-                while d != 0 {
-                    if d & 1 == 1 {
-                        self.planes[(j * words + word) * LANES + b] |= 1u64 << bit;
-                    }
-                    d >>= 1;
-                    j += 1;
-                }
-            }
-            self.sum_shifted[b] = sum;
-        }
-    }
-
-    /// Activation bit planes in use (the widest lane's).
-    pub fn plane_count(&self) -> usize {
-        self.plane_count
-    }
-}
-
 /// `popcount(Σ a & b)` over two equal-length word runs — the single
 /// inner loop of every bit-plane kernel. Portable SWAR by default
 /// (`u64::count_ones` lowers to the Hacker's Delight bit-parallel count
@@ -277,58 +196,6 @@ fn dot(w: &PackedWeights, r: usize, a: &BitPlanes, use_avx2: bool) -> i64 {
         }
     }
     weighted + a.lo * w.row_sums[r] - 128 * a.sum_shifted - 128 * a.lo * (w.cols as i64)
-}
-
-/// Eight-lane `popcount(a & b)`: ANDs one weight word run against a
-/// batch-minor run of [`LANES`] activation lanes and accumulates each
-/// lane's count separately. Portable SWAR by default; AVX2 broadcasts
-/// the weight word across a 256-bit register and counts four lanes per
-/// nibble-shuffle pass.
-#[inline]
-fn and_popcount8(wrow: &[u64], arows: &[u64], counts: &mut [u64; LANES], use_avx2: bool) {
-    debug_assert_eq!(arows.len(), wrow.len() * LANES);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: `use_avx2` is only ever true for a plan whose backend
-        // resolved to `Avx2`, which requires runtime AVX2 detection.
-        unsafe { avx2::and_popcount8(wrow, arows, counts) };
-        return;
-    }
-    let _ = use_avx2;
-    counts.fill(0);
-    for (&w, lanes) in wrow.iter().zip(arows.chunks_exact(LANES)) {
-        for (c, &a) in counts.iter_mut().zip(lanes) {
-            *c += (w & a).count_ones() as u64;
-        }
-    }
-}
-
-/// The exact dot products of packed weight row `r` with all [`LANES`]
-/// lanes of a batched activation pack — per lane, bit-identical to
-/// [`dot`] on that lane alone (same popcount identity, per-lane
-/// correction terms).
-fn dot8(w: &PackedWeights, r: usize, a: &BatchBitPlanes, use_avx2: bool, out: &mut [i64; LANES]) {
-    debug_assert_eq!(w.cols, a.len, "reduction length mismatch");
-    debug_assert_eq!(w.words, a.words);
-    let words = w.words;
-    let row_planes = &w.planes[r * 8 * words..(r + 1) * 8 * words];
-    let mut weighted = [0i64; LANES];
-    let mut counts = [0u64; LANES];
-    for k in 0..8 {
-        let wrow = &row_planes[k * words..(k + 1) * words];
-        for j in 0..a.plane_count {
-            let arows = &a.planes[j * words * LANES..(j + 1) * words * LANES];
-            and_popcount8(wrow, arows, &mut counts, use_avx2);
-            for (wt, &c) in weighted.iter_mut().zip(&counts) {
-                *wt += (c as i64) << (k + j);
-            }
-        }
-    }
-    for (b, slot) in out.iter_mut().enumerate() {
-        *slot = weighted[b] + a.lo[b] * w.row_sums[r]
-            - 128 * a.sum_shifted[b]
-            - 128 * a.lo[b] * (w.cols as i64);
-    }
 }
 
 /// Bit-plane dense accumulators: bit-identical to
@@ -452,130 +319,6 @@ pub(crate) fn conv_direct_scratch(
     out
 }
 
-/// Batched bit-plane dense: each full tile of [`LANES`] images is packed
-/// batch-minor so every weight row streams through memory **once per
-/// eight images**; the tail (batch not a multiple of eight) runs the
-/// solo kernel, which is bit-identical by the per-lane exactness of
-/// [`BatchBitPlanes`]. Outputs (one finished plane per image, written
-/// through `w_out`) are appended to `outs` from arena buffers.
-pub(crate) fn dense_acc_batch_core<S: AsRef<[i32]>>(
-    batch: &[S],
-    packed: &PackedWeights,
-    use_avx2: bool,
-    w_out: &impl WriteOut,
-    scratch: &mut Scratch,
-    outs: &mut Vec<Vec<i32>>,
-) {
-    let full = batch.len() / LANES * LANES;
-    let mut a = scratch.take_batch_bitplanes();
-    let mut dots = [0i64; LANES];
-    for tile in batch[..full].chunks_exact(LANES) {
-        a.pack(tile);
-        let base = outs.len();
-        for _ in 0..LANES {
-            outs.push(scratch.take_i32(packed.rows));
-        }
-        #[allow(clippy::needless_range_loop)] // `r` indexes eight outs, not one slice
-        for r in 0..packed.rows {
-            dot8(packed, r, &a, use_avx2, &mut dots);
-            for b in 0..LANES {
-                outs[base + b][r] = w_out.emit(r, dots[b]);
-            }
-        }
-    }
-    scratch.put_batch_bitplanes(a);
-    for codes in &batch[full..] {
-        let mut acc = dense_acc_scratch(codes.as_ref(), packed, use_avx2, scratch);
-        w_out.finish_solo_in_place(&mut acc, 1);
-        outs.push(acc);
-    }
-}
-
-/// Batched bit-plane direct conv: per output pixel, all [`LANES`]
-/// images' receptive fields are gathered and packed together, so every
-/// filter's weight planes are loaded once and AND+popcounted against
-/// eight images. Tail images run the solo kernel. See
-/// [`dense_acc_batch_core`] for the output contract.
-pub(crate) fn conv_direct_batch_core<S: AsRef<[i32]>>(
-    batch: &[S],
-    shape: &PooledConvShape,
-    packed: &PackedWeights,
-    use_avx2: bool,
-    w_out: &impl WriteOut,
-    scratch: &mut Scratch,
-    outs: &mut Vec<Vec<i32>>,
-) {
-    let (in_ch, in_h, in_w) = (shape.in_ch, shape.in_h, shape.in_w);
-    let k_sz = shape.kernel;
-    assert_eq!(packed.rows, shape.out_ch, "filter count mismatch");
-    assert_eq!(packed.cols, in_ch * k_sz * k_sz, "weight size mismatch");
-    let geo = shape.geometry();
-    let (oh, ow) = (geo.out_h(), geo.out_w());
-    let out_plane = oh * ow;
-
-    let full = batch.len() / LANES * LANES;
-    let mut a = scratch.take_batch_bitplanes();
-    let mut gathers = scratch.take_planes(LANES);
-    for _ in 0..LANES {
-        gathers.push(scratch.take_i32(packed.cols));
-    }
-    let mut dots = [0i64; LANES];
-    for tile in batch[..full].chunks_exact(LANES) {
-        let base = outs.len();
-        for codes in tile {
-            assert_eq!(codes.as_ref().len(), in_ch * in_h * in_w, "activation size mismatch");
-            outs.push(scratch.take_i32(shape.out_ch * out_plane));
-        }
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for (codes, gather) in tile.iter().zip(gathers.iter_mut()) {
-                    gather_window(codes.as_ref(), in_ch, in_h, in_w, k_sz, &geo, oy, ox, gather);
-                }
-                a.pack(&gathers);
-                for k in 0..shape.out_ch {
-                    dot8(packed, k, &a, use_avx2, &mut dots);
-                    for b in 0..LANES {
-                        outs[base + b][(k * oh + oy) * ow + ox] = w_out.emit(k, dots[b]);
-                    }
-                }
-            }
-        }
-    }
-    scratch.put_planes(gathers);
-    scratch.put_batch_bitplanes(a);
-    for codes in &batch[full..] {
-        let mut acc = conv_direct_scratch(codes.as_ref(), shape, packed, use_avx2, scratch);
-        w_out.finish_solo_in_place(&mut acc, out_plane);
-        outs.push(acc);
-    }
-}
-
-/// Raw-accumulator batched dense over a whole batch (any size;
-/// non-multiple-of-[`LANES`] tails run solo). Bit-identical per image to
-/// [`dense_acc`] — the differential-test surface for the batched path.
-pub fn dense_acc_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    packed: &PackedWeights,
-    use_avx2: bool,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    dense_acc_batch_core(batch, packed, use_avx2, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// Raw-accumulator batched direct conv (see [`dense_acc_batch`]).
-/// Bit-identical per image to [`conv_direct`].
-pub fn conv_direct_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    shape: &PooledConvShape,
-    packed: &PackedWeights,
-    use_avx2: bool,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    conv_direct_batch_core(batch, shape, packed, use_avx2, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
 /// Largest activation bitwidth at which the kernels route solo
 /// direct/dense work through the bit-plane path: the popcount work is
 /// `8 × plane_count` word-ops per 64 lanes, so at 4 bits and below it
@@ -584,17 +327,12 @@ pub fn conv_direct_batch<S: AsRef<[i32]>>(
 /// only in speed).
 pub const POPCOUNT_MAX_BITS: u8 = 4;
 
-/// Largest activation bitwidth at which the kernels route **batched**
-/// direct/dense work through the bit-plane path. Batched execution
-/// competes with the int8 tile kernels (already weight-stationary and
-/// batch-minor), a much stronger baseline than the solo scalar loop —
-/// but each packed weight word still feeds all 8 lanes per load, and
-/// measured on the stem-heavy demo regime the batched popcount tile
-/// holds 4.3x / 2.8x / 2.1x / 1.7x over the int8 tiles at 1–4 bits
-/// (`BENCH_engine.json`, `popcount_batched` section), so the batched
-/// cap matches the solo threshold. Always further capped by the
-/// backend's threshold ([`crate::EngineOptions::with_popcount_max_bits`]),
-/// which also turns the path off entirely when set to 0.
+/// The activation bitwidth up to which batched direct/dense work *used*
+/// to run on 8-lane bit-plane popcount tiles. The engine no longer
+/// routes by it — every batch tile runs the pair-madd int8 tiles, which
+/// beat popcount at every bitwidth — and it survives only for the
+/// benchmark's per-layer work model, which still counts sub-byte
+/// batched direct/dense work in popcount words up to this width.
 pub const POPCOUNT_BATCH_MAX_BITS: u8 = 4;
 
 /// Resolves the popcount routing threshold: an explicit engine-option
@@ -654,63 +392,6 @@ mod avx2 {
             total += (a[i] & b[i]).count_ones() as u64;
         }
         total
-    }
-
-    /// AVX2 eight-lane `popcount(w & a)`: broadcasts each weight word
-    /// across a 256-bit register and ANDs it against two 4-lane vectors
-    /// of the batch-minor activation run, so one weight load feeds all
-    /// eight batch lanes. Per-lane byte counts accumulate in `epi8`
-    /// registers and are folded into 64-bit lane sums with
-    /// `_mm256_sad_epu8` every ≤ 31 words (31 words × 8 bits/byte-count
-    /// = 248 < 255, so the byte counters cannot wrap). Counts exactly
-    /// the same bits as the portable eight-lane loop.
-    ///
-    /// # Safety
-    ///
-    /// Callers must have verified AVX2 support at run time, and
-    /// `arows.len()` must be `wrow.len() * 8` (batch-minor layout).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_popcount8(wrow: &[u64], arows: &[u64], counts: &mut [u64; 8]) {
-        debug_assert_eq!(arows.len(), wrow.len() * 8);
-        #[rustfmt::skip]
-        let table = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        let mut sum_lo = zero;
-        let mut sum_hi = zero;
-        let n = wrow.len();
-        let mut i = 0usize;
-        while i < n {
-            let end = (i + 31).min(n);
-            let mut acc_lo = zero;
-            let mut acc_hi = zero;
-            for (w_i, &w) in wrow[i..end].iter().enumerate() {
-                let wv = _mm256_set1_epi64x(w as i64);
-                let base = (i + w_i) * 8;
-                let a_lo = _mm256_loadu_si256(arows.as_ptr().add(base) as *const __m256i);
-                let a_hi = _mm256_loadu_si256(arows.as_ptr().add(base + 4) as *const __m256i);
-                for (v, acc) in [
-                    (_mm256_and_si256(wv, a_lo), &mut acc_lo),
-                    (_mm256_and_si256(wv, a_hi), &mut acc_hi),
-                ] {
-                    let lo = _mm256_and_si256(v, low_mask);
-                    let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-                    let c = _mm256_add_epi8(
-                        _mm256_shuffle_epi8(table, lo),
-                        _mm256_shuffle_epi8(table, hi),
-                    );
-                    *acc = _mm256_add_epi8(*acc, c);
-                }
-            }
-            sum_lo = _mm256_add_epi64(sum_lo, _mm256_sad_epu8(acc_lo, zero));
-            sum_hi = _mm256_add_epi64(sum_hi, _mm256_sad_epu8(acc_hi, zero));
-            i = end;
-        }
-        _mm256_storeu_si256(counts.as_mut_ptr() as *mut __m256i, sum_lo);
-        _mm256_storeu_si256(counts.as_mut_ptr().add(4) as *mut __m256i, sum_hi);
     }
 }
 
@@ -825,123 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_pack_lanes_match_solo_packs() {
-        let mut s = 0xBA7C4;
-        let len = 77usize;
-        let lanes: Vec<Vec<i32>> = (0..LANES)
-            .map(|b| (0..len).map(|_| lcg(&mut s, 37) - (b as i32 * 3)).collect())
-            .collect();
-        let mut batch = BatchBitPlanes::new();
-        batch.pack(&lanes);
-        for (b, lane) in lanes.iter().enumerate() {
-            let mut solo = BitPlanes::new();
-            solo.pack(lane);
-            assert_eq!(batch.lo[b], solo.lo, "lane {b} lo");
-            assert_eq!(batch.sum_shifted[b], solo.sum_shifted, "lane {b} sum");
-            assert!(batch.plane_count >= solo.plane_count);
-            // Every solo plane bit appears at the batch-minor slot; batch
-            // planes above the solo count are zero for this lane.
-            for j in 0..batch.plane_count {
-                for w in 0..batch.words {
-                    let got = batch.planes[(j * batch.words + w) * LANES + b];
-                    let expect =
-                        if j < solo.plane_count { solo.planes[j * solo.words + w] } else { 0 };
-                    assert_eq!(got, expect, "lane {b} plane {j} word {w}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_dense_matches_solo_across_batch_sizes() {
-        let mut s = 0xD075u64;
-        let (rows, cols) = (9usize, 130usize);
-        let weights: Vec<i8> = (0..rows * cols).map(|_| (lcg(&mut s, 255) - 127) as i8).collect();
-        let packed = PackedWeights::pack(&weights, rows, cols);
-        for batch_n in [1usize, 2, 7, 8, 9, 16, 17] {
-            for bits in [1u32, 2, 4] {
-                let hi = (1i32 << bits) - 1;
-                let batch: Vec<Vec<i32>> = (0..batch_n)
-                    .map(|_| (0..cols).map(|_| lcg(&mut s, hi + 1) - (hi + 1) / 2).collect())
-                    .collect();
-                for avx2 in avx2_flags() {
-                    let got = dense_acc_batch(&batch, &packed, avx2);
-                    assert_eq!(got.len(), batch_n);
-                    for (i, codes) in batch.iter().enumerate() {
-                        assert_eq!(
-                            got[i],
-                            dense_acc(codes, &packed, avx2),
-                            "n={batch_n} bits={bits} avx2={avx2} image {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_conv_matches_solo_with_padding_and_stride() {
-        let mut s = 0xC0B47u64;
-        for (stride, pad) in [(1usize, 1usize), (2, 0)] {
-            let shape =
-                PooledConvShape { in_ch: 3, out_ch: 5, kernel: 3, stride, pad, in_h: 6, in_w: 5 };
-            for batch_n in [2usize, 8, 11] {
-                let hi = 3i32;
-                let batch: Vec<Vec<i32>> = (0..batch_n)
-                    .map(|_| {
-                        (0..shape.in_ch * shape.in_h * shape.in_w)
-                            .map(|_| lcg(&mut s, hi + 1))
-                            .collect()
-                    })
-                    .collect();
-                let weights: Vec<i8> = (0..shape.out_ch * shape.in_ch * 9)
-                    .map(|_| (lcg(&mut s, 255) - 127) as i8)
-                    .collect();
-                let packed = PackedWeights::pack(&weights, shape.out_ch, shape.in_ch * 9);
-                for avx2 in avx2_flags() {
-                    let got = conv_direct_batch(&batch, &shape, &packed, avx2);
-                    for (i, codes) in batch.iter().enumerate() {
-                        assert_eq!(
-                            got[i],
-                            conv_direct(codes, &shape, &packed, avx2),
-                            "stride={stride} pad={pad} n={batch_n} avx2={avx2} image {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn explicit_threshold_wins_and_rejects_out_of_range() {
         assert_eq!(resolve_popcount_max_bits(Some(0)), 0);
         assert_eq!(resolve_popcount_max_bits(Some(7)), 7);
         let err = std::panic::catch_unwind(|| resolve_popcount_max_bits(Some(9)));
         assert!(err.is_err(), "explicit out-of-range threshold must panic");
         assert_eq!(resolve_popcount_max_bits(None), POPCOUNT_MAX_BITS);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_popcount8_counts_the_same_bits() {
-        if !avx2_available() {
-            return;
-        }
-        let mut s = 0x8AB5u64;
-        // Lengths straddling the 31-word SAD flush boundary.
-        for words in [0usize, 1, 5, 31, 32, 63, 64, 100] {
-            let wrow: Vec<u64> = (0..words)
-                .map(|_| (lcg(&mut s, i32::MAX) as u64) << 32 | lcg(&mut s, i32::MAX) as u64)
-                .collect();
-            let arows: Vec<u64> = (0..words * LANES)
-                .map(|_| (lcg(&mut s, i32::MAX) as u64) << 32 | lcg(&mut s, i32::MAX) as u64)
-                .collect();
-            let mut portable = [0u64; LANES];
-            and_popcount8(&wrow, &arows, &mut portable, false);
-            let mut simd = [0u64; LANES];
-            unsafe { avx2::and_popcount8(&wrow, &arows, &mut simd) };
-            assert_eq!(simd, portable, "words={words}");
-        }
     }
 
     #[cfg(target_arch = "x86_64")]

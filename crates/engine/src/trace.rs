@@ -258,7 +258,19 @@ pub fn popcount_tier_code(use_avx2: bool) -> u8 {
     }
 }
 
-/// Reporting name for a [`tier_code`] / [`popcount_tier_code`] value.
+/// Tier code for a layer span that executed the batched pair-madd int8
+/// tiles (direct-conv/dense batches on x86-64): `swar+madd` for the
+/// 128-bit SSE2 form, `avx2+madd` for the 256-bit one.
+pub fn madd_tier_code(use_avx2: bool) -> u8 {
+    if use_avx2 {
+        6
+    } else {
+        5
+    }
+}
+
+/// Reporting name for a [`tier_code`] / [`popcount_tier_code`] /
+/// [`madd_tier_code`] value.
 pub fn tier_name(code: u8) -> &'static str {
     match code {
         0 => "scalar",
@@ -266,6 +278,8 @@ pub fn tier_name(code: u8) -> &'static str {
         2 => "avx2",
         3 => "swar+popcount",
         4 => "avx2+popcount",
+        5 => "swar+madd",
+        6 => "avx2+madd",
         _ => "unknown",
     }
 }

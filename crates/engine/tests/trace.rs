@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wp_core::deploy::{ConvPayload, DeployBundle};
 use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
 use wp_core::{LookupTable, LutOrder, WeightPool};
-use wp_engine::trace::{current_track, SpanKind, TraceEvent};
+use wp_engine::trace::{current_track, madd_tier_code, tier_name, SpanKind, TraceEvent};
 use wp_engine::{
     BackendKind, BatchRunner, EngineOptions, NetProfile, PreparedNet, TraceBuffer, TraceSink,
 };
@@ -95,6 +95,94 @@ fn traced_execution_is_bit_identical_to_untraced() {
         let events = sink.snapshot();
         assert!(events.iter().any(|e| e.kind == SpanKind::Layer));
         assert!(events.iter().any(|e| e.kind == SpanKind::Run));
+    }
+}
+
+/// A demo-stem-shaped network: direct convs, depthwise, max pooling,
+/// global pooling and a two-layer dense head, no pooled conv.
+fn stem_bundle() -> DeployBundle {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x57E);
+    let vectors: Vec<Vec<f32>> =
+        (0..8).map(|_| (0..8).map(|_| rng.gen_range(-0.5f32..0.5)).collect()).collect();
+    let pool = WeightPool::from_vectors(vectors);
+    let lut = LookupTable::build(&pool, 8, LutOrder::InputOriented);
+    let conv = |in_ch: usize, out_ch: usize| {
+        LayerSpec::Conv(ConvSpec { in_ch, out_ch, kernel: 3, stride: 1, pad: 1, compressed: false })
+    };
+    let spec = NetSpec {
+        name: "stem-toy".into(),
+        input: (8, 6, 6),
+        classes: 10,
+        layers: vec![
+            conv(8, 16),
+            LayerSpec::DwConv { channels: 16, kernel: 3, stride: 1, pad: 1 },
+            conv(16, 24),
+            LayerSpec::MaxPool { size: 2 },
+            conv(24, 24),
+            LayerSpec::GlobalAvgPool,
+            LayerSpec::Dense { in_features: 24, out_features: 64, compressed: false },
+            LayerSpec::Dense { in_features: 64, out_features: 10, compressed: false },
+        ],
+    };
+    let convs = [(8, 16), (16, 24), (24, 24)]
+        .into_iter()
+        .map(|(i, o)| {
+            let weights = (0..o * i * 9).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
+            ConvPayload::Direct { weights, scale: 0.01 }
+        })
+        .collect();
+    DeployBundle { spec, pool, lut, convs, act_bits: 8 }
+}
+
+/// A batched stem-shaped run at 2-bit activations executes its
+/// direct-conv and dense layers on the pair-madd tiles, and their spans
+/// say so (`swar+madd` / `avx2+madd`, never `unknown` or a popcount
+/// code); the run's solo reference still carries the popcount code.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn batched_stem_spans_carry_the_madd_tier() {
+    let bundle = stem_bundle();
+    let mut kinds = vec![BackendKind::Swar];
+    if wp_engine::avx2_available() {
+        kinds.push(BackendKind::Avx2);
+    }
+    for kind in kinds {
+        let opts = EngineOptions::new().with_act_bits(2).with_backend(kind);
+        let mut net = PreparedNet::from_bundle(&bundle, &opts);
+        let madd = madd_tier_code(kind == BackendKind::Avx2);
+        let want = if kind == BackendKind::Avx2 { "avx2+madd" } else { "swar+madd" };
+        assert_eq!(tier_name(madd), want);
+        let sink = Arc::new(TraceBuffer::new(256));
+        net.set_trace_sink(Some(sink.clone()));
+        let inputs = net.fabricate_inputs(16, 11);
+        let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
+        let batched = net.run_batch(&refs);
+        let layer_kinds = net.layer_kinds();
+        let spans: Vec<TraceEvent> =
+            sink.snapshot().into_iter().filter(|e| e.kind == SpanKind::Layer).collect();
+        for (l, layer_kind) in layer_kinds.iter().enumerate() {
+            let span = spans.iter().find(|e| e.layer as usize == l).expect("every layer traced");
+            assert_eq!(span.batch, 16);
+            if matches!(layer_kind.as_str(), "direct_conv" | "dense") {
+                assert_eq!(
+                    tier_name(span.tier),
+                    want,
+                    "{kind:?}: l{l} {layer_kind} span carries the wrong tier"
+                );
+            } else {
+                assert_ne!(span.tier, madd, "{kind:?}: l{l} {layer_kind} did not run madd");
+            }
+        }
+
+        sink.clear();
+        assert_eq!(net.run_one(refs[0]), batched[0]);
+        let solo = sink.snapshot();
+        let first = solo.iter().find(|e| e.kind == SpanKind::Layer && e.layer == 0).expect("l0");
+        assert!(
+            tier_name(first.tier).ends_with("+popcount"),
+            "solo l0 ran {}",
+            tier_name(first.tier)
+        );
     }
 }
 
