@@ -291,11 +291,8 @@ fn local_server(
     );
     let (bundle, opts) = demo_deployment(size, DEMO_SEED);
     registry.insert_bundle(name, &bundle, opts);
-    serve(
-        ServerConfig { workers: 32, allow_remote_shutdown: true, ..ServerConfig::default() },
-        registry,
-    )
-    .expect("bind server")
+    serve(ServerConfig { allow_remote_shutdown: true, ..ServerConfig::default() }, registry)
+        .expect("bind server")
 }
 
 /// One plain GET over a fresh connection.

@@ -17,7 +17,7 @@
 //! * [`simulate`] — inference-time overrides that execute the bit-serial
 //!   LUT arithmetic inside a float model, reproducing the paper's accuracy
 //!   simulation methodology (Tables 5/6);
-//! * [`reference`](crate::reference) — exact integer semantics of the bit-serial kernel that
+//! * [`reference`](mod@reference) — exact integer semantics of the bit-serial kernel that
 //!   the instrumented MCU kernels in `wp-kernels` must match bit-for-bit;
 //! * [`compression`] — storage accounting: Eq. 4 and the per-network
 //!   compression ratios of Table 3;

@@ -16,16 +16,16 @@
 //! The int8 layers (direct conv, depthwise, dense) have solo loops and
 //! weight-stationary **batched tiles** over batch-minor columns. On
 //! x86-64 the batched direct-conv and dense tiles are the pair-madd
-//! kernels ([`madd`]): two reduction terms per `i32` lane as `i16`
+//! kernels (`madd`): two reduction terms per `i32` lane as `i16`
 //! halves, multiplied and added by `pmaddwd` — the batched path at every
 //! activation bitwidth. Tiles whose codes do not fit `i16` (and every
-//! tile on other architectures) run the generic [`TileAcc`] tiles. Every
+//! tile on other architectures) run the generic `TileAcc` tiles. Every
 //! path sums the same integers, so batched outputs are bit-identical to
 //! solo ones.
 
 use crate::options::{BackendKind, ResolvedBackend};
 use crate::scratch::Scratch;
-use crate::swar::{resolve_popcount_max_bits, POPCOUNT_MAX_BITS};
+use crate::swar::POPCOUNT_MAX_BITS;
 use wp_core::reference::{ActEncoding, PooledConvShape};
 use wp_core::LookupTable;
 use wp_kernels::OutputQuant;
@@ -144,13 +144,6 @@ pub struct NativeBackend {
     /// (`Avx2` runs the pair-madd tiles 256 bits wide). Every tier
     /// computes identical integers.
     simd: ResolvedBackend,
-    /// Largest activation bitwidth at which **solo** direct/dense calls
-    /// run the bit-plane popcount kernels (batches always run the
-    /// batched int8 tiles). The built-in
-    /// [`crate::swar::POPCOUNT_MAX_BITS`] unless the engine option
-    /// overrides it; `0` disables the popcount path. Routing only — every
-    /// path computes identical integers.
-    popcount_max_bits: u8,
 }
 
 impl NativeBackend {
@@ -214,14 +207,7 @@ impl NativeBackend {
         for (j, w) in bit_weights.iter_mut().enumerate().take(act_bits as usize) {
             *w = encoding.bit_weight(j as u8, act_bits) as i32;
         }
-        Self {
-            lut,
-            act_bits,
-            encoding,
-            bit_weights,
-            simd: backend.resolve(),
-            popcount_max_bits: POPCOUNT_MAX_BITS,
-        }
+        Self { lut, act_bits, encoding, bit_weights, simd: backend.resolve() }
     }
 
     /// The resolved kernel tier this backend executes with.
@@ -229,24 +215,12 @@ impl NativeBackend {
         self.simd
     }
 
-    /// The solo popcount routing threshold this backend executes with
-    /// (see [`crate::swar::resolve_popcount_max_bits`]); batches do not
-    /// route by it.
+    /// The activation bitwidth at or below which swar/avx2 backends route
+    /// **solo** direct/dense calls through the bit-plane popcount kernels:
+    /// always [`crate::swar::POPCOUNT_MAX_BITS`]. Batches do not route by
+    /// it, and every path computes identical integers.
     pub fn popcount_max_bits(&self) -> u8 {
-        self.popcount_max_bits
-    }
-
-    /// Overrides the solo popcount routing threshold: act_bits up to
-    /// `bits` route solo direct/dense calls through the bit-plane
-    /// kernels, `0` disables them entirely. Routing only — outputs are
-    /// identical at any setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits > 8`.
-    pub fn with_popcount_limit(mut self, bits: u8) -> Self {
-        self.popcount_max_bits = resolve_popcount_max_bits(Some(bits));
-        self
+        POPCOUNT_MAX_BITS
     }
 
     /// Activation bitwidth `M`.
@@ -1098,10 +1072,10 @@ fn fill_pair_columns<S: AsRef<[i32]>>(group: &[S], ch: usize, inner: usize, colu
 /// contiguous batch column — the direct-conv analogue of the pooled
 /// scatter's tap amortization. A tile whose codes fit `i16` and whose
 /// sums fit `i32` (every tile at `act_bits <= 8`) runs the pair-madd
-/// tile ([`madd`]), which multiplies two input channels per lane per
-/// instruction; any other tile runs the generic [`TileAcc`] tile. Per
+/// tile (`madd`), which multiplies two input channels per lane per
+/// instruction; any other tile runs the generic `TileAcc` tile. Per
 /// image the sum per output pixel is the exact integer sum the solo path
-/// computes (see [`tile_path`] for why the order cannot matter), so
+/// computes (see `tile_path` for why the order cannot matter), so
 /// outputs match bit-for-bit; a partial tail tile runs solo, which is
 /// identical by the same argument. The madd tiles run as wide as the
 /// auto-resolved tier allows ([`BackendKind::resolve`], so `WP_BACKEND`
@@ -1388,7 +1362,7 @@ fn dw_tile<A: TileAcc, const B: usize>(
 /// bit-identical to solo. Full tiles load each of the `O · I` weights
 /// once and apply it to the whole tile as one dense sweep over a
 /// batch-minor feature column — the regime where a dense head's weight
-/// traffic amortizes (same tiling, [`tile_path`] admission and exactness
+/// traffic amortizes (same tiling, `tile_path` admission and exactness
 /// argument as [`conv_direct_batch`]; the madd tiles pair up adjacent
 /// input features).
 ///
@@ -2400,14 +2374,6 @@ mod tests {
                 assert_eq!(&dense_acc(img, &weights, out_features), out);
             }
         }
-    }
-
-    #[test]
-    fn popcount_limit_builder_overrides_resolved_default() {
-        let lut = small_lut(LutOrder::InputOriented);
-        let backend = NativeBackend::new(&lut, 4, ActEncoding::Unsigned);
-        assert_eq!(backend.clone().with_popcount_limit(0).popcount_max_bits(), 0);
-        assert_eq!(backend.with_popcount_limit(8).popcount_max_bits(), 8);
     }
 
     #[test]

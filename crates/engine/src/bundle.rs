@@ -78,11 +78,7 @@ impl PreparedNet {
     /// group size on a pooled layer).
     pub fn from_bundle(bundle: &DeployBundle, opts: &EngineOptions) -> Self {
         let act_bits = opts.act_bits.unwrap_or(bundle.act_bits);
-        let mut backend =
-            NativeBackend::new_with(&bundle.lut, act_bits, opts.encoding, opts.backend);
-        if let Some(bits) = opts.popcount_max_bits {
-            backend = backend.with_popcount_limit(bits);
-        }
+        let backend = NativeBackend::new_with(&bundle.lut, act_bits, opts.encoding, opts.backend);
         // Hidden activations must land in the encoding's code range:
         // unsigned (post-ReLU) clamps to [0, 2^M - 1]; signed two's
         // complement clamps two-sided to [-2^(M-1), 2^(M-1) - 1], which is

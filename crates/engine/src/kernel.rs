@@ -52,14 +52,12 @@ fn scalar_tier(ctx: &KernelCtx<'_>) -> bool {
 /// `Some(use_avx2)` when the solo bit-plane popcount kernels should run
 /// for a solo call: a swar-or-better tier at an activation bitwidth low
 /// enough that popcounting 8 weight planes beats the per-element MAC.
-/// The threshold is the backend's routing limit (engine option, default
-/// [`swar::POPCOUNT_MAX_BITS`]). The scalar tier never routes here.
+/// The threshold is [`swar::POPCOUNT_MAX_BITS`]. The scalar tier never
+/// routes here.
 fn popcount_path(ctx: &KernelCtx<'_>) -> Option<bool> {
     match ctx.backend.simd() {
         ResolvedBackend::Scalar => None,
-        tier if ctx.act_bits <= ctx.backend.popcount_max_bits() => {
-            Some(tier == ResolvedBackend::Avx2)
-        }
+        tier if ctx.act_bits <= swar::POPCOUNT_MAX_BITS => Some(tier == ResolvedBackend::Avx2),
         _ => None,
     }
 }

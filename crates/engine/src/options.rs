@@ -180,10 +180,6 @@ pub struct EngineOptions {
     pub(crate) weight_seed: u64,
     /// Kernel tier selection, resolved at plan-compile time.
     pub(crate) backend: BackendKind,
-    /// Solo bit-plane popcount routing threshold override (see
-    /// [`crate::swar::resolve_popcount_max_bits`]); `None` keeps the
-    /// built-in default.
-    pub(crate) popcount_max_bits: Option<u8>,
 }
 
 impl Default for EngineOptions {
@@ -195,7 +191,6 @@ impl Default for EngineOptions {
             layer_multipliers: None,
             weight_seed: 0x5EED,
             backend: BackendKind::Auto,
-            popcount_max_bits: None,
         }
     }
 }
@@ -244,17 +239,6 @@ impl EngineOptions {
         self
     }
 
-    /// Overrides the activation bitwidth at or below which the swar/avx2
-    /// tiers route **solo** direct-conv and dense calls through the
-    /// bit-plane popcount kernels (0 disables them; `from_bundle` panics
-    /// above 8). Batches run the batched int8 tiles at any setting.
-    /// Unset, the threshold is the built-in
-    /// [`crate::swar::POPCOUNT_MAX_BITS`].
-    pub fn with_popcount_max_bits(mut self, bits: u8) -> Self {
-        self.popcount_max_bits = Some(bits);
-        self
-    }
-
     /// The activation bitwidth override, if any.
     pub fn act_bits(&self) -> Option<u8> {
         self.act_bits
@@ -283,11 +267,6 @@ impl EngineOptions {
     /// The selected (unresolved) kernel tier.
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// The solo popcount routing threshold override, if any.
-    pub fn popcount_max_bits(&self) -> Option<u8> {
-        self.popcount_max_bits
     }
 }
 
@@ -327,15 +306,13 @@ mod tests {
             .with_requant_multiplier(0.5)
             .with_layer_multipliers(Some(vec![1.0, 2.0]))
             .with_weight_seed(7)
-            .with_backend(BackendKind::Swar)
-            .with_popcount_max_bits(2);
+            .with_backend(BackendKind::Swar);
         assert_eq!(opts.act_bits(), Some(3));
         assert_eq!(opts.encoding(), ActEncoding::SignedTwosComplement);
         assert_eq!(opts.requant_multiplier(), 0.5);
         assert_eq!(opts.layer_multipliers(), Some(&[1.0, 2.0][..]));
         assert_eq!(opts.weight_seed(), 7);
         assert_eq!(opts.backend(), BackendKind::Swar);
-        assert_eq!(opts.popcount_max_bits(), Some(2));
         let cleared = opts.with_layer_multipliers(None);
         assert_eq!(cleared.layer_multipliers(), None);
     }

@@ -335,22 +335,6 @@ pub const POPCOUNT_MAX_BITS: u8 = 4;
 /// batched direct/dense work in popcount words up to this width.
 pub const POPCOUNT_BATCH_MAX_BITS: u8 = 4;
 
-/// Resolves the popcount routing threshold: an explicit engine-option
-/// value wins, else the built-in [`POPCOUNT_MAX_BITS`].
-///
-/// # Panics
-///
-/// Panics if an explicit value is out of range (`> 8`).
-pub fn resolve_popcount_max_bits(explicit: Option<u8>) -> u8 {
-    match explicit {
-        Some(bits) => {
-            assert!(bits <= 8, "popcount bit threshold must be 0..=8, got {bits}");
-            bits
-        }
-        None => POPCOUNT_MAX_BITS,
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -503,15 +487,6 @@ mod tests {
             let expect = backend::dense_acc(&codes, &weights, 1);
             assert_eq!(dense_acc(&codes, &packed, false), expect, "codes={codes:?}");
         }
-    }
-
-    #[test]
-    fn explicit_threshold_wins_and_rejects_out_of_range() {
-        assert_eq!(resolve_popcount_max_bits(Some(0)), 0);
-        assert_eq!(resolve_popcount_max_bits(Some(7)), 7);
-        let err = std::panic::catch_unwind(|| resolve_popcount_max_bits(Some(9)));
-        assert!(err.is_err(), "explicit out-of-range threshold must panic");
-        assert_eq!(resolve_popcount_max_bits(None), POPCOUNT_MAX_BITS);
     }
 
     #[cfg(target_arch = "x86_64")]

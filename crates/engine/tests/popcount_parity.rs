@@ -15,11 +15,11 @@
 //!   holding a code outside `i16` must take the generic tile and still
 //!   match.
 //! * **Networks** — direct-conv + dense networks run identically across
-//!   the scalar/swar/avx2 tiers, batched and solo, with the solo
-//!   popcount path enabled, disabled (`with_popcount_max_bits(0)`) and
-//!   widened — routing must never change the integers — and a fuzzed
-//!   network's batched run matches `run_one` at every `act_bits` on both
-//!   madd widths.
+//!   the scalar/swar/avx2 tiers, batched and solo, at bitwidths on both
+//!   sides of the solo popcount threshold (`swar::POPCOUNT_MAX_BITS`) —
+//!   routing must never change the integers — and a fuzzed network's
+//!   batched run matches `run_one` at every `act_bits` on both madd
+//!   widths.
 //! * **Blocked dense** — dense heads on both sides of the blocked-kernel
 //!   threshold (`in × out ≥ 16K` weights) at batches deep enough to
 //!   engage it (≥ 2 full tiles) match solo execution.
@@ -300,12 +300,13 @@ fn popcount_bundle(head_features: usize) -> DeployBundle {
     popcount_bundle_with(3, (3, 1, 1), head_features)
 }
 
-/// Popcount routing (on, off, widened) never changes a network's outputs,
-/// and every tier agrees with the scalar reference, solo and batched.
+/// Popcount routing never changes a network's outputs: at bitwidths up
+/// to the solo threshold (popcount) and above it (MAC loop), every tier
+/// agrees with the scalar reference, solo and batched.
 #[test]
 fn network_agrees_across_tiers_and_popcount_thresholds() {
     let bundle = popcount_bundle(16);
-    for bits in [1u8, 2, 4] {
+    for bits in [1u8, 2, swar::POPCOUNT_MAX_BITS, swar::POPCOUNT_MAX_BITS + 1, 8] {
         let opts =
             |backend: BackendKind| EngineOptions::new().with_act_bits(bits).with_backend(backend);
         let scalar = PreparedNet::from_bundle(&bundle, &opts(BackendKind::Scalar));
@@ -313,26 +314,16 @@ fn network_agrees_across_tiers_and_popcount_thresholds() {
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let want: Vec<Vec<i32>> = inputs.iter().map(|x| scalar.run_one(x)).collect();
         for kind in simd_kinds() {
-            for limit in [None, Some(0u8), Some(swar::POPCOUNT_MAX_BITS), Some(8)] {
-                let mut o = opts(kind);
-                if let Some(limit) = limit {
-                    o = o.with_popcount_max_bits(limit);
-                }
-                let net = PreparedNet::from_bundle(&bundle, &o);
-                for (input, want) in inputs.iter().zip(&want) {
-                    assert_eq!(
-                        &net.run_one(input),
-                        want,
-                        "solo bits={bits} kind={kind:?} limit={limit:?}"
-                    );
-                }
-                for batch in [1usize, 2, 7, 16] {
-                    assert_eq!(
-                        net.run_batch(&refs[..batch]),
-                        want[..batch],
-                        "batch={batch} bits={bits} kind={kind:?} limit={limit:?}"
-                    );
-                }
+            let net = PreparedNet::from_bundle(&bundle, &opts(kind));
+            for (input, want) in inputs.iter().zip(&want) {
+                assert_eq!(&net.run_one(input), want, "solo bits={bits} kind={kind:?}");
+            }
+            for batch in [1usize, 2, 7, 16] {
+                assert_eq!(
+                    net.run_batch(&refs[..batch]),
+                    want[..batch],
+                    "batch={batch} bits={bits} kind={kind:?}"
+                );
             }
         }
     }

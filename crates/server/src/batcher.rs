@@ -1,10 +1,10 @@
 //! The dynamic micro-batcher: coalesces concurrent inference requests
 //! into batches for the native engine.
 //!
-//! Connection threads [`Batcher::submit`] one activation plane each and
-//! block until their result is ready; the event-driven front instead
-//! uses [`Batcher::submit_callback`], which never blocks and delivers
-//! the result to a completion callback. A dedicated flusher thread drains
+//! The event-driven front submits each activation plane with
+//! [`Batcher::submit_callback`], which never blocks and delivers the
+//! result to a completion callback; in-process callers use
+//! [`Batcher::submit`] and block on a [`Ticket`] instead. A dedicated flusher thread drains
 //! the queue into batches, flushing as soon as **either** `max_batch`
 //! planes are waiting **or** the oldest plane has waited `max_wait`
 //! (whichever comes first — a solo request on an idle server pays at most
@@ -84,7 +84,7 @@ impl std::error::Error for InferError {}
 /// How a served (or failed) plane's result reaches its submitter.
 enum Responder {
     /// A blocking waiter holds the [`Ticket`] end of this channel
-    /// (thread-per-connection front, tests, CLI).
+    /// (in-process callers and tests).
     Channel(mpsc::Sender<Result<Vec<i32>, InferError>>),
     /// The event-driven front: invoked on the flusher thread right after
     /// the batch executes (or synchronously at submit time on a
@@ -213,7 +213,8 @@ impl Batcher {
     /// Validates and enqueues one plane, returning a [`Ticket`] that
     /// blocks until the result is ready. Validation happens here, against
     /// the *current* plan, so the flusher can execute whole batches
-    /// without per-plane error paths.
+    /// without per-plane error paths. The plane carries no request trace
+    /// id (its queue-wait span gets id 0).
     ///
     /// # Errors
     ///
@@ -221,19 +222,8 @@ impl Batcher {
     /// code, [`InferError::Overloaded`] at the queue cap, and
     /// [`InferError::ShuttingDown`] after [`Batcher::shutdown`].
     pub fn submit(&self, input: Vec<i32>) -> Result<Ticket, InferError> {
-        self.submit_traced(input, 0)
-    }
-
-    /// [`Batcher::submit`] carrying a request trace id: the id is stamped
-    /// on the queue-wait span the flusher emits for this plane, tying the
-    /// span back to the HTTP request that caused it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Batcher::submit`].
-    pub fn submit_traced(&self, input: Vec<i32>, span_id: u64) -> Result<Ticket, InferError> {
         let (tx, rx) = mpsc::channel();
-        self.submit_with(input, span_id, Responder::Channel(tx)).map_err(|r| r.error)?;
+        self.submit_with(input, 0, Responder::Channel(tx)).map_err(|r| r.error)?;
         Ok(Ticket { rx })
     }
 

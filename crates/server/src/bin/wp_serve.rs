@@ -1,4 +1,5 @@
-//! The inference server binary.
+//! The inference server binary. It serves on the epoll event front, so it
+//! runs on Linux only.
 //!
 //! ```sh
 //! # Serve the built-in demo model on an ephemeral port:
@@ -25,12 +26,8 @@
 //!   and reported in `/v1/models` and `/metrics`.
 //! * `--max-batch N`, `--max-wait-us N` — micro-batcher flush thresholds.
 //! * `--threads N` — engine worker threads per batch.
-//! * `--front KIND` — connection front: `event` (default; epoll
-//!   readiness loop, a few threads own every connection, Linux-only —
-//!   falls back to `threaded` elsewhere) or `threaded`
-//!   (thread-per-connection worker pool).
-//! * `--event-threads N` — event-loop threads for the event front.
-//! * `--workers N` — connection worker threads (threaded front only).
+//! * `--event-threads N` — epoll event-loop threads; together they own
+//!   every connection.
 //! * `--trace-events N` — give every model an N-event trace ring;
 //!   `GET /v1/models/NAME/trace` exports it as Chrome `trace_event` JSON
 //!   (the always-on per-layer profile at `GET /v1/models/NAME/profile`
@@ -46,7 +43,7 @@ use wp_server::batcher::BatcherConfig;
 use wp_server::demo::{demo_deployment, DemoSize};
 use wp_server::metrics::Metrics;
 use wp_server::registry::ModelRegistry;
-use wp_server::server::{serve, FrontKind, ServerConfig};
+use wp_server::server::{serve, ServerConfig};
 
 struct Args {
     addr: String,
@@ -55,16 +52,13 @@ struct Args {
     demo_stem: bool,
     backend: BackendKind,
     batcher: BatcherConfig,
-    front: FrontKind,
     event_threads: usize,
-    workers: usize,
     trace_events: usize,
     port_file: Option<String>,
     allow_shutdown: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let defaults = ServerConfig::default();
     let mut args = Args {
         addr: "127.0.0.1:8080".into(),
         models: Vec::new(),
@@ -72,9 +66,7 @@ fn parse_args() -> Result<Args, String> {
         demo_stem: false,
         backend: BackendKind::Auto,
         batcher: BatcherConfig::default(),
-        front: defaults.front,
-        event_threads: defaults.event_threads,
-        workers: defaults.workers,
+        event_threads: ServerConfig::default().event_threads,
         trace_events: 0,
         port_file: None,
         allow_shutdown: false,
@@ -115,13 +107,6 @@ fn parse_args() -> Result<Args, String> {
                 args.batcher.threads =
                     value("--threads")?.parse().map_err(|e| format!("bad --threads: {e}"))?;
             }
-            "--front" => {
-                args.front = match value("--front")?.as_str() {
-                    "event" => FrontKind::Event,
-                    "threaded" => FrontKind::Threaded,
-                    other => return Err(format!("bad --front {other:?}: event|threaded")),
-                };
-            }
             "--event-threads" => {
                 args.event_threads = value("--event-threads")?
                     .parse()
@@ -129,10 +114,6 @@ fn parse_args() -> Result<Args, String> {
                 if args.event_threads == 0 {
                     return Err("--event-threads must be at least 1".into());
                 }
-            }
-            "--workers" => {
-                args.workers =
-                    value("--workers")?.parse().map_err(|e| format!("bad --workers: {e}"))?;
             }
             "--trace-events" => {
                 args.trace_events = value("--trace-events")?
@@ -165,12 +146,7 @@ const HELP: &str = "wp_serve — weight-pool inference server
     --max-batch N        micro-batch flush size (default 32)
     --max-wait-us N      micro-batch flush deadline (default 2000)
     --threads N          engine worker threads per batch
-    --front KIND         connection front: event|threaded (default event;
-                         epoll readiness loop on Linux, falls back to
-                         threaded elsewhere)
-    --event-threads N    event-loop threads for the event front (default 2)
-    --workers N          connection worker threads, threaded front only
-                         (default 8)
+    --event-threads N    epoll event-loop threads (default 2; Linux only)
     --trace-events N     per-model trace ring of N events, exported at
                          GET /v1/models/NAME/trace as Chrome trace JSON
                          (default 0 = event tracing off; the per-layer
@@ -219,16 +195,14 @@ fn main() {
 
     let config = ServerConfig {
         addr: args.addr,
-        front: args.front,
         event_threads: args.event_threads,
-        workers: args.workers,
         allow_remote_shutdown: args.allow_shutdown,
         ..ServerConfig::default()
     };
     let mut handle = match serve(config, Arc::clone(&registry)) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("wp_serve: bind failed: {e}");
+            eprintln!("wp_serve: cannot serve: {e}");
             std::process::exit(1);
         }
     };
@@ -237,13 +211,10 @@ fn main() {
             eprintln!("wp_serve: writing port file {path}: {e}");
         }
     }
-    let front_desc = match args.front {
-        FrontKind::Event => format!("event front, {} loop threads", args.event_threads),
-        FrontKind::Threaded => format!("threaded front, {} workers", args.workers),
-    };
     println!(
-        "wp_serve listening on http://{} ({front_desc}; batch<={}, wait<={:?})",
+        "wp_serve listening on http://{} (event front, {} loop threads; batch<={}, wait<={:?})",
         handle.addr(),
+        args.event_threads,
         args.batcher.max_batch,
         args.batcher.max_wait
     );

@@ -20,7 +20,8 @@
 //! * **No crates**: the build environment is offline, so `epoll` is bound
 //!   directly with `extern "C"` declarations — std already links libc on
 //!   Linux, the symbols are there. The module is `cfg(target_os =
-//!   "linux")`; other platforms use the threaded front.
+//!   "linux")`; elsewhere [`crate::server::serve`] returns `Unsupported`,
+//!   so serving is Linux-only.
 //! * **Level-triggered** events: simpler invariants than edge-triggered
 //!   (a missed wakeup self-heals on the next `epoll_wait`), and the
 //!   syscall savings of edge mode are noise next to inference work.
@@ -314,8 +315,8 @@ impl InferJob {
             match result {
                 Ok(out) => st.outputs[index] = Some(out),
                 Err(e) => {
-                    // First error wins — matches the blocking path, which
-                    // reports the first ticket that fails.
+                    // First error wins: the reply reports the first
+                    // plane that failed.
                     if st.error.is_none() {
                         st.error = Some(e);
                     }
@@ -440,7 +441,7 @@ pub(crate) fn start(
             s.wake.wake();
         }
     });
-    Ok(FrontRuntime { threads, wake: Some(wake) })
+    Ok(FrontRuntime { threads, wake })
 }
 
 // ---------------------------------------------------------------------------
@@ -570,13 +571,13 @@ impl EventLoop {
     fn dispatch(&mut self, token: Token, request: Request) {
         let started = Instant::now();
         self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-        // Evaluated before routing, exactly like the threaded front (a
-        // /v1/shutdown request's own response still says keep-alive) —
-        // responses must stay byte-identical between fronts.
+        // Evaluated before routing, so a /v1/shutdown request's own
+        // response still says keep-alive.
         let keep_alive = request.keep_alive() && !self.shutdown.load(Ordering::SeqCst);
         let rid = server::request_id(&request);
 
-        if request.method == "POST" && request.path == "/v1/infer" {
+        let path = request.path.split_once('?').map_or(request.path.as_str(), |(p, _)| p);
+        if request.method == "POST" && path == "/v1/infer" {
             match server::decode_infer(&request, &self.registry, &rid) {
                 Err(reply) => self.enqueue_reply(token, &reply, &rid, keep_alive, started),
                 Ok(plan) => {
@@ -646,14 +647,15 @@ impl EventLoop {
         }
     }
 
-    /// Answers a protocol violation with the same 4xx the threaded front
-    /// sends, then closes after flushing.
+    /// Answers a protocol violation with a 400 (malformed) or 413 (too
+    /// large), then closes after flushing.
     fn enqueue_parse_error(&mut self, token: Token, err: &HttpError) {
         let (status, message) = match err {
             HttpError::Malformed(m) => (Status::BAD_REQUEST, m.clone()),
             HttpError::TooLarge(m) => (Status::PAYLOAD_TOO_LARGE, m.clone()),
-            // Eof/Io never come out of the pull-free incremental parser.
-            HttpError::Eof | HttpError::Io(_) => return,
+            // Only an EOF mid-body yields Io: there is no request to
+            // answer.
+            HttpError::Io(_) => return,
         };
         self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.responses_client_error.fetch_add(1, Ordering::Relaxed);
@@ -670,9 +672,9 @@ impl EventLoop {
     /// otherwise rearms its deadline, EPOLLOUT interest, and (when the
     /// deadline moved earlier) its wheel entry.
     fn finish_io(&mut self, token: Token, now: Instant) {
-        // A peer that half-closed mid-head gets the same 400 the
-        // blocking front sends on EOF ([`RequestParser::eof_error`];
-        // mid-body EOFs stay silent — there is no request to answer).
+        // A peer that half-closed mid-head gets a 400
+        // ([`RequestParser::eof_error`]; mid-body EOFs stay silent —
+        // there is no request to answer).
         let eof_err = {
             let Some(conn) = self.slab.get_mut(token) else { return };
             if conn.peer_closed && !conn.close_after_flush && !conn.inflight {
@@ -700,7 +702,7 @@ impl EventLoop {
                     close = true;
                 } else if conn.peer_closed && drained && !conn.inflight {
                     // Clean EOF (or a dead socket) with nothing left to
-                    // send: reap silently, like the threaded front.
+                    // send: reap silently.
                     close = true;
                 }
             }

@@ -5,9 +5,8 @@
 //! machine that is fed whatever bytes have arrived (possibly one at a
 //! time, across many socket readiness events) and yields a [`Request`]
 //! once a full head + body is buffered. The event-driven connection front
-//! drives it directly; the blocking [`read_request`] used by the threaded
-//! front and unit tests is a thin loop over the same machine, so the two
-//! fronts cannot drift apart in what they accept.
+//! feeds it from nonblocking reads and asks it what an EOF means
+//! ([`RequestParser::eof_error`]).
 //!
 //! Supported: request line + headers + `Content-Length` bodies,
 //! keep-alive (HTTP/1.1 default, opt-in for 1.0), pipelined requests
@@ -17,7 +16,7 @@
 //! supported (connection is closed or the request rejected): chunked
 //! *request* bodies and upgrades.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -67,10 +66,7 @@ impl Request {
 /// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The peer closed the connection before a request started (normal
-    /// keep-alive termination).
-    Eof,
-    /// An I/O error (includes read timeouts on idle keep-alive sockets).
+    /// The transport failed mid-request (a body cut short by EOF).
     Io(io::Error),
     /// The request violates the protocol subset; the string is safe to
     /// echo in a 400 response.
@@ -82,7 +78,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Eof => write!(f, "connection closed"),
             HttpError::Io(e) => write!(f, "io error: {e}"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(m) => write!(f, "request too large: {m}"),
@@ -180,8 +175,9 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// [`HttpError::Malformed`] / [`HttpError::TooLarge`] exactly as the
-    /// blocking reader; the connection should respond 4xx and close.
+    /// [`HttpError::Malformed`] for bytes outside the supported protocol
+    /// subset, [`HttpError::TooLarge`] for a head or body over the hard
+    /// limits; the connection should respond 4xx and close.
     pub fn try_parse(&mut self) -> Result<Option<Request>, HttpError> {
         loop {
             match &mut self.stage {
@@ -305,33 +301,6 @@ fn body_length(request: &Request) -> Result<usize, HttpError> {
     Ok(len)
 }
 
-/// Reads one request from a buffered stream, blocking until it is
-/// complete — the same state machine as [`RequestParser`], driven by a
-/// blocking reader.
-///
-/// # Errors
-///
-/// [`HttpError::Eof`] when the peer closed cleanly between requests,
-/// [`HttpError::Io`] on transport errors, idle timeouts, or a body cut
-/// short, and [`HttpError::Malformed`]/[`HttpError::TooLarge`] when the
-/// bytes arrive but cannot be served.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    loop {
-        if let Some(request) = parser.try_parse()? {
-            return Ok(request);
-        }
-        let chunk = reader.fill_buf().map_err(HttpError::Io)?;
-        if chunk.is_empty() {
-            // EOF: clean between requests, an error mid-request.
-            return Err(parser.eof_error().unwrap_or(HttpError::Eof));
-        }
-        let n = chunk.len();
-        parser.feed(&chunk[..n]);
-        reader.consume(n);
-    }
-}
-
 /// An HTTP status code with its canonical reason phrase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Status(pub u16);
@@ -421,62 +390,23 @@ pub fn encode_response(
     out
 }
 
-/// Writes one JSON response (flushes the stream).
-///
-/// # Errors
-///
-/// Returns any transport error.
-pub fn write_json_response(
-    stream: &mut impl Write,
-    status: Status,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response(stream, status, "application/json", &[], body, keep_alive)
-}
-
-/// Writes one response with an explicit content type and extra headers
-/// (flushes the stream), always `Content-Length`-framed — this is the
-/// threaded front's buffered path, the reference the chunked encoding is
-/// diffed against. Header names and values must already be valid header
-/// text — nothing is escaped here.
-///
-/// # Errors
-///
-/// Returns any transport error.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: Status,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        status.0,
-        status.reason(),
-        content_type,
-        body.len(),
-        connection
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+    /// Feeds `raw` in one piece and then treats its end as the peer's
+    /// EOF — a client that writes its bytes and half-closes.
+    ///
+    /// # Panics
+    ///
+    /// On a clean EOF (no request started); test that case directly.
+    fn parse(raw: impl AsRef<[u8]>) -> Result<Request, HttpError> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_ref());
+        match parser.try_parse()? {
+            Some(request) => Ok(request),
+            None => Err(parser.eof_error().expect("EOF mid-request must be an error")),
+        }
     }
 
     #[test]
@@ -506,7 +436,14 @@ mod tests {
 
     #[test]
     fn eof_and_malformed_are_distinguished() {
-        assert!(matches!(parse(""), Err(HttpError::Eof)));
+        // EOF before a request starts (blank lines included) is a clean
+        // keep-alive close: no request, no error.
+        for raw in ["", "\r\n\r\n"] {
+            let mut parser = RequestParser::new();
+            parser.feed(raw.as_bytes());
+            assert!(parser.try_parse().unwrap().is_none());
+            assert!(parser.eof_error().is_none(), "{raw:?} is a clean close");
+        }
         assert!(matches!(parse("BROKEN\r\n\r\n"), Err(HttpError::Malformed(_))));
         assert!(matches!(parse("GET / HTTP/2\r\n\r\n"), Err(HttpError::Malformed(_))));
         assert!(matches!(
@@ -532,10 +469,7 @@ mod tests {
         let mut raw = Vec::from(&b"GET / HTTP/1.1\r\nX-Bin: "[..]);
         raw.extend_from_slice(&[0xFF, 0xFE]);
         raw.extend_from_slice(b"\r\n\r\n");
-        assert!(matches!(
-            read_request(&mut BufReader::new(raw.as_slice())),
-            Err(HttpError::Malformed(_))
-        ));
+        assert!(matches!(parse(raw), Err(HttpError::Malformed(_))));
         // Chunked transfer encoding is outside the supported subset.
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
@@ -629,8 +563,7 @@ mod tests {
 
     #[test]
     fn response_is_well_formed() {
-        let mut out = Vec::new();
-        write_json_response(&mut out, Status::OK, "{\"a\":1}", true).unwrap();
+        let out = encode_response(Status::OK, "application/json", &[], b"{\"a\":1}", true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -641,16 +574,13 @@ mod tests {
 
     #[test]
     fn response_carries_content_type_and_extra_headers() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let out = encode_response(
             Status::OK,
             "text/plain; version=0.0.4",
             &[("X-Request-Id", "req-7")],
-            "wp_http_requests_total 1\n",
+            b"wp_http_requests_total 1\n",
             false,
-        )
-        .unwrap();
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
         assert!(text.contains("X-Request-Id: req-7\r\n"));

@@ -14,7 +14,8 @@
 //!
 //! Pieces:
 //!
-//! * [`http`] — minimal HTTP/1.1 parsing/writing with hard limits.
+//! * [`http`] — minimal HTTP/1.1: an incremental request parser and a
+//!   response encoder, with hard limits.
 //! * [`protocol`] — the JSON request/response types.
 //! * [`batcher`] — [`Batcher`]: flush on `max_batch` or `max_wait`,
 //!   whichever first.
@@ -24,13 +25,14 @@
 //!   [`metrics::ModelMetrics`] (the `GET /metrics` totals are the sum of
 //!   the per-model rows).
 //! * [`prometheus`] — Prometheus text exposition of the same snapshot.
-//! * [`server`] — front selection and routing, request-scoped trace ids
-//!   (`X-Request-Id` in, echoed out, stamped on engine spans and error
-//!   bodies).
-//! * [`event`] — the default front on Linux: a vendored-FFI epoll
-//!   readiness loop; a few event threads carry thousands of mostly-idle
-//!   keep-alive connections (per-connection slab, deadline wheel,
-//!   chunked responses from nonblocking write buffers).
+//! * [`server`] — configuration, [`serve`], routing, request-scoped
+//!   trace ids (`X-Request-Id` in, echoed out, stamped on engine spans
+//!   and error bodies).
+//! * [`event`] — the connection front: a vendored-FFI epoll readiness
+//!   loop; a few event threads carry thousands of mostly-idle keep-alive
+//!   connections (per-connection slab, deadline wheel, chunked responses
+//!   from nonblocking write buffers). It needs epoll, so serving is
+//!   Linux-only; elsewhere [`serve`] returns an `Unsupported` error.
 //! * [`conn`] — the event front's data structures: generation-checked
 //!   [`conn::Slab`], hashed [`conn::DeadlineWheel`], per-connection
 //!   state.
@@ -86,4 +88,4 @@ pub mod server;
 pub use batcher::{Batcher, BatcherConfig, InferError};
 pub use metrics::{Metrics, MetricsSnapshot, ModelMetrics, ModelMetricsSnapshot};
 pub use registry::{ModelEntry, ModelRegistry, RegistryError};
-pub use server::{serve, FrontKind, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle};

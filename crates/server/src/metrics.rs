@@ -28,7 +28,7 @@ pub use wp_engine::trace::{LatencyHistogram, LatencySnapshot, LATENCY_BUCKETS};
 /// overflow bucket.
 pub const MAX_TRACKED_BATCH: usize = 64;
 
-/// Server-wide HTTP metrics, shared across connection workers.
+/// Server-wide HTTP metrics, shared across the front's threads.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// HTTP requests accepted (any endpoint).
@@ -54,7 +54,7 @@ pub struct Metrics {
     /// Per-event-thread loop-iteration *busy* time (readiness dispatch +
     /// completion drain + deadline sweep, excluding the `epoll_wait`
     /// sleep), microseconds. One histogram per event thread, registered
-    /// at front startup; empty under the threaded front.
+    /// at front startup.
     event_loops: Mutex<Vec<Arc<LatencyHistogram>>>,
 }
 
@@ -223,7 +223,7 @@ pub struct MetricsSnapshot {
     /// Queue-wait latency, merged over models, microseconds.
     pub queue_latency: LatencySnapshot,
     /// Per-event-thread loop-iteration busy time, microseconds, indexed
-    /// by event thread (empty under the threaded front).
+    /// by event thread.
     #[serde(default)]
     pub event_loops: Vec<LatencySnapshot>,
     /// Per-model breakdown, sorted by name.

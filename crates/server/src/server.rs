@@ -1,14 +1,11 @@
-//! The TCP front end: connection fronts (event-driven and threaded),
-//! routing, and request-scoped ids.
+//! The TCP front end: server configuration, routing, and request-scoped
+//! ids.
 //!
 //! ```text
-//!                 ┌─ event front (default on Linux) ──────────────┐
+//!                 ┌─ event front (crate::event) ──────────────────┐
 //! TcpListener ──▶ │ epoll readiness loop × event_threads:         │
 //!   accept        │   nonblocking sockets, incremental parse,     │
 //!                 │   callback infer, chunked writes on EPOLLOUT  │
-//!                 └───────────────┬───────────────────────────────┘
-//!                 ┌─ threaded front (reference / fallback) ───────┐
-//!                 │ mpsc queue ──▶ N workers, blocking parse+wait │
 //!                 └───────────────┬───────────────────────────────┘
 //!                                 ▼  ModelRegistry.resolve()
 //!                        per-model Batcher queue
@@ -17,71 +14,49 @@
 //!                  BatchRunner.run (batched, bit-identical)
 //! ```
 //!
-//! Both fronts route through the same [`route`]/[`Reply`] code and the
-//! same batcher, so responses are byte-identical between them (pinned by
-//! e2e tests); they differ only in how connections are multiplexed. The
-//! **event front** ([`crate::event`]) multiplexes thousands of mostly-idle
-//! keep-alive connections over a few epoll threads. The **threaded
-//! front** owns a connection per worker for its keep-alive lifetime, so
-//! `workers` bounds concurrent *connections* — it remains as the
-//! non-Linux fallback and the reference implementation the event front is
-//! diffed against.
+//! The one connection front is the **event front** ([`crate::event`]): a
+//! few epoll threads multiplex thousands of mostly-idle keep-alive
+//! connections. It answers `POST /v1/infer` through the batcher's
+//! nonblocking callback path and every other endpoint inline through
+//! this module's router. The front is epoll-based, so serving is
+//! Linux-only: elsewhere [`serve`] returns an
+//! [`std::io::ErrorKind::Unsupported`] error.
+
+// Off Linux nothing starts a front, so the router is unreachable there.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 use crate::batcher::InferError;
-use crate::http::{self, HttpError, Request, Status};
+use crate::http::{Request, Status};
 use crate::prometheus;
 use crate::protocol::{
-    ErrorResponse, HealthResponse, InferRequest, InferResponse, ModelProfileResponse,
-    ModelsResponse,
+    ErrorResponse, HealthResponse, InferRequest, ModelProfileResponse, ModelsResponse,
 };
 use crate::registry::{ModelEntry, ModelRegistry, RegistryError};
 use serde::Serialize;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 use wp_engine::trace;
-
-/// Which connection front multiplexes sockets onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontKind {
-    /// Readiness-based epoll loop: a few event threads own all
-    /// connections (Linux; silently falls back to [`FrontKind::Threaded`]
-    /// elsewhere).
-    Event,
-    /// Thread-per-connection worker pool.
-    Threaded,
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Connection front. Defaults to [`FrontKind::Event`].
-    pub front: FrontKind,
-    /// Event threads for the event front (each owns an epoll instance
-    /// and a share of the connections).
+    /// Event threads (each owns an epoll instance and a share of the
+    /// connections).
     pub event_threads: usize,
-    /// Connection worker threads (threaded front only).
-    pub workers: usize,
     /// Mid-request deadline: a peer that started a request must finish
     /// sending it within this long or gets `408` and a close (the
-    /// slowloris bound). The threaded front also uses it as its per-read
-    /// socket timeout.
+    /// slowloris bound).
     pub read_timeout: Duration,
     /// Keep-alive idle deadline: a connection with no partial request is
-    /// silently closed after this long (event front; the threaded front
-    /// reaps idles at `read_timeout`, its historical behavior).
+    /// silently closed after this long.
     pub idle_timeout: Duration,
     /// Unflushed-response deadline: a peer that stops draining its
-    /// responses for this long is closed (event front).
+    /// responses for this long is closed.
     pub write_timeout: Duration,
-    /// Accepted connections waiting for a worker (threaded front); when
-    /// full, accepting pauses and further connects queue in the kernel
-    /// backlog (bounded backpressure instead of unbounded buffering).
-    pub pending_connections: usize,
     /// Whether `POST /v1/shutdown` is honored (off unless the operator
     /// opts in — a load generator's clean-shutdown hook, not a public
     /// endpoint).
@@ -92,25 +67,20 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            front: FrontKind::Event,
             event_threads: 2,
-            workers: 8,
             read_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(10),
-            pending_connections: 1024,
             allow_remote_shutdown: false,
         }
     }
 }
 
-/// What a running front hands back: its threads (accept + workers or
-/// accept + event loops) and an optional waker that unblocks threads
-/// sleeping in something other than `accept` (the event front's
-/// eventfds).
+/// What the running front hands back: its threads (accept + event
+/// loops) and a waker that kicks the event threads out of `epoll_wait`.
 pub(crate) struct FrontRuntime {
     pub(crate) threads: Vec<std::thread::JoinHandle<()>>,
-    pub(crate) wake: Option<Box<dyn Fn() + Send + Sync>>,
+    pub(crate) wake: Box<dyn Fn() + Send + Sync>,
 }
 
 /// A running server; dropping the handle shuts it down.
@@ -143,12 +113,10 @@ impl ServerHandle {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Nudge the accept loop out of its blocking accept, and wake any
+        // Nudge the accept loop out of its blocking accept, and wake the
         // event threads out of epoll_wait.
         let _ = TcpStream::connect(self.addr);
-        if let Some(wake) = &self.front.wake {
-            wake();
-        }
+        (self.front.wake)();
         for t in self.front.threads.drain(..) {
             let _ = t.join();
         }
@@ -162,237 +130,29 @@ impl Drop for ServerHandle {
     }
 }
 
-/// The front that will actually run: [`FrontKind::Event`] needs epoll, so
-/// off Linux it falls back to the threaded front.
-fn effective_front(requested: FrontKind) -> FrontKind {
-    #[cfg(target_os = "linux")]
-    {
-        requested
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        match requested {
-            FrontKind::Event => FrontKind::Threaded,
-            other => other,
-        }
-    }
-}
-
 /// Binds and starts serving `registry` under `config`.
 ///
 /// # Errors
 ///
-/// Returns any bind error, or an epoll/eventfd setup error for the event
-/// front.
+/// Returns any bind or epoll/eventfd setup error, and
+/// [`std::io::ErrorKind::Unsupported`] off Linux (the event front needs
+/// epoll).
 pub fn serve(config: ServerConfig, registry: Arc<ModelRegistry>) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let front = match effective_front(config.front) {
-        #[cfg(target_os = "linux")]
-        FrontKind::Event => crate::event::start(listener, &config, &registry, &shutdown)?,
-        #[cfg(not(target_os = "linux"))]
-        FrontKind::Event => unreachable!("effective_front maps Event to Threaded off Linux"),
-        FrontKind::Threaded => start_threaded(listener, &config, &registry, &shutdown),
-    };
-    Ok(ServerHandle { addr, shutdown, front, registry })
-}
-
-/// Starts the thread-per-connection front: a blocking accept loop feeding
-/// a worker pool through a bounded queue.
-fn start_threaded(
-    listener: TcpListener,
-    config: &ServerConfig,
-    registry: &Arc<ModelRegistry>,
-    shutdown: &Arc<AtomicBool>,
-) -> FrontRuntime {
-    let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.pending_connections.max(1));
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let mut threads: Vec<_> = (0..config.workers.max(1))
-        .map(|i| {
-            let conn_rx = Arc::clone(&conn_rx);
-            let registry = Arc::clone(registry);
-            let shutdown = Arc::clone(shutdown);
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name(format!("wp-conn-{i}"))
-                .spawn(move || worker_loop(&conn_rx, &registry, &shutdown, &config))
-                .expect("spawn connection worker")
-        })
-        .collect();
-
-    let accept_thread = {
-        let shutdown = Arc::clone(shutdown);
-        let metrics = Arc::clone(registry.metrics());
-        std::thread::Builder::new()
-            .name("wp-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        // A send error means the workers are gone, which
-                        // only happens at shutdown.
-                        Ok(stream) => {
-                            metrics.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                            if conn_tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                // conn_tx drops here; idle workers see the disconnect.
-            })
-            .expect("spawn accept loop")
-    };
-    threads.push(accept_thread);
-    FrontRuntime { threads, wake: None }
-}
-
-/// One connection worker: pulls sockets and serves them to completion.
-fn worker_loop(
-    conn_rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    registry: &ModelRegistry,
-    shutdown: &AtomicBool,
-    config: &ServerConfig,
-) {
-    loop {
-        let next = {
-            let rx = conn_rx.lock().expect("connection queue poisoned");
-            rx.recv_timeout(Duration::from_millis(100))
-        };
-        match next {
-            Ok(stream) => {
-                // Connection errors only affect that peer.
-                let _ = serve_connection(stream, registry, shutdown, config);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+    #[cfg(target_os = "linux")]
+    {
+        let listener = std::net::TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let front = crate::event::start(listener, &config, &registry, &shutdown)?;
+        Ok(ServerHandle { addr, shutdown, front, registry })
     }
-}
-
-/// Granularity of the between-requests idle poll (bounds how long an
-/// idle keep-alive connection can delay shutdown).
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Serves one (possibly keep-alive) connection until close.
-fn serve_connection(
-    stream: TcpStream,
-    registry: &ModelRegistry,
-    shutdown: &AtomicBool,
-    config: &ServerConfig,
-) -> std::io::Result<()> {
-    let metrics = Arc::clone(registry.metrics());
-    metrics.connections_open.fetch_add(1, Ordering::Relaxed);
-    let result = serve_connection_inner(stream, registry, shutdown, config, &metrics);
-    metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
-    result
-}
-
-fn serve_connection_inner(
-    stream: TcpStream,
-    registry: &ModelRegistry,
-    shutdown: &AtomicBool,
-    config: &ServerConfig,
-    metrics: &crate::metrics::Metrics,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-
-    loop {
-        // Idle phase: wait for the next request's first byte under a
-        // short poll so shutdown is honored promptly, giving up once the
-        // configured idle timeout has passed. `fill_buf` buffers nothing
-        // on timeout, so retrying loses no bytes.
-        writer.get_ref().set_read_timeout(Some(IDLE_POLL))?;
-        let mut idle = Duration::ZERO;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            use std::io::BufRead;
-            match reader.fill_buf() {
-                Ok([]) => return Ok(()), // clean EOF
-                Ok(_) => break,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    idle += IDLE_POLL;
-                    if idle >= config.read_timeout {
-                        metrics.connections_timed_out.fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
-                    }
-                }
-                Err(_) => return Ok(()),
-            }
-        }
-        // A request is arriving: switch to the full per-read timeout for
-        // its head and body.
-        writer.get_ref().set_read_timeout(Some(config.read_timeout))?;
-        let request = match http::read_request(&mut reader) {
-            Ok(r) => r,
-            Err(HttpError::Eof) | Err(HttpError::Io(_)) => return Ok(()),
-            Err(HttpError::Malformed(m)) => {
-                metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-                metrics.responses_client_error.fetch_add(1, Ordering::Relaxed);
-                respond(
-                    &mut writer,
-                    Status::BAD_REQUEST,
-                    &ErrorResponse { error: m, request_id: None },
-                    false,
-                )?;
-                return Ok(());
-            }
-            Err(HttpError::TooLarge(m)) => {
-                metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-                metrics.responses_client_error.fetch_add(1, Ordering::Relaxed);
-                respond(
-                    &mut writer,
-                    Status::PAYLOAD_TOO_LARGE,
-                    &ErrorResponse { error: m, request_id: None },
-                    false,
-                )?;
-                return Ok(());
-            }
-        };
-        metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let keep_alive = request.keep_alive() && !shutdown.load(Ordering::SeqCst);
-        let rid = request_id(&request);
-        let reply = route(&request, registry, shutdown, config, &rid);
-        let class = match reply.status.0 {
-            200..=299 => &metrics.responses_ok,
-            400..=499 => &metrics.responses_client_error,
-            _ => &metrics.responses_server_error,
-        };
-        class.fetch_add(1, Ordering::Relaxed);
-        metrics.request_latency.record_micros(started.elapsed());
-        let retry_after = reply.retry_after.map(|s| s.to_string());
-        let mut headers: Vec<(&str, &str)> = vec![("X-Request-Id", &rid)];
-        if let Some(retry_after) = &retry_after {
-            headers.push(("Retry-After", retry_after));
-        }
-        http::write_response(
-            &mut writer,
-            reply.status,
-            reply.content_type,
-            &headers,
-            &reply.body,
-            keep_alive,
-        )?;
-        if !keep_alive {
-            return Ok(());
-        }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (config, registry);
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "serving needs the epoll event front, which is Linux-only",
+        ))
     }
 }
 
@@ -415,17 +175,6 @@ pub(crate) fn request_id(request: &Request) -> String {
     format!("req-{}", NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Serializes and writes an early (pre-routing) error response.
-fn respond<T: Serialize>(
-    writer: &mut impl std::io::Write,
-    status: Status,
-    body: &T,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let body = serde_json::to_string(body).unwrap_or_else(|_| "{}".into());
-    http::write_json_response(writer, status, &body, keep_alive)
-}
-
 /// One routed response: status, content type, rendered body, and an
 /// optional `Retry-After` hint in seconds (set on overload 503s so
 /// well-behaved clients back off instead of hammering a full queue).
@@ -436,9 +185,9 @@ pub(crate) struct Reply {
     pub(crate) retry_after: Option<u32>,
 }
 
-/// Routes one parsed request to its endpoint. Shared by both fronts —
-/// the event front intercepts `POST /v1/infer` before calling this (its
-/// infer path must not block), every other endpoint is served inline.
+/// Routes one parsed request to a synchronous endpoint. The event front
+/// intercepts `POST /v1/infer` before calling this (its infer path must
+/// not block); every other endpoint is served inline.
 pub(crate) fn route(
     request: &Request,
     registry: &ModelRegistry,
@@ -481,7 +230,6 @@ pub(crate) fn route(
             }
             error(Status::NOT_FOUND, &format!("no route for GET {path}"), rid)
         }
-        ("POST", "/v1/infer") => infer(request, registry, rid),
         ("POST", path) => {
             if let Some(name) =
                 path.strip_prefix("/v1/models/").and_then(|rest| rest.strip_suffix("/reload"))
@@ -523,8 +271,8 @@ fn wants_prometheus(request: &Request, query: &str) -> bool {
 
 /// A decoded, validated `/v1/infer` request, ready to submit: the
 /// resolved model, its input planes, and the trace span id derived from
-/// the request id. Shared by the blocking path ([`infer`]) and the event
-/// front's callback path.
+/// the request id. The event front submits it through the batcher's
+/// callback path.
 pub(crate) struct InferPlan {
     pub(crate) entry: Arc<ModelEntry>,
     pub(crate) inputs: Vec<Vec<i32>>,
@@ -562,34 +310,6 @@ pub(crate) fn decode_infer(
     // X-Request-Id.
     let span_id = trace::span_id_from(rid);
     Ok(InferPlan { entry, inputs: req.inputs, span_id })
-}
-
-/// `POST /v1/infer`, blocking flavor (threaded front): decode, submit
-/// every plane, await them all.
-fn infer(request: &Request, registry: &ModelRegistry, rid: &str) -> Reply {
-    let plan = match decode_infer(request, registry, rid) {
-        Ok(p) => p,
-        Err(reply) => return reply,
-    };
-    // Two-phase so one request's planes can share a batch: enqueue all,
-    // then wait for all.
-    let submitted = Instant::now();
-    let mut tickets = Vec::with_capacity(plan.inputs.len());
-    for input in plan.inputs {
-        match plan.entry.batcher().submit_traced(input, plan.span_id) {
-            Ok(t) => tickets.push(t),
-            Err(e) => return infer_error(&e, rid),
-        }
-    }
-    let mut outputs = Vec::with_capacity(tickets.len());
-    for ticket in tickets {
-        match ticket.wait() {
-            Ok(out) => outputs.push(out),
-            Err(e) => return infer_error(&e, rid),
-        }
-    }
-    plan.entry.metrics().request_latency.record_micros(submitted.elapsed());
-    ok(&InferResponse { model: plan.entry.name().to_string(), outputs }, rid)
 }
 
 /// `POST /v1/models/{name}/reload`.

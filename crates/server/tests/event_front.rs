@@ -1,7 +1,8 @@
 //! The event front's own end-to-end suite: deadline behavior (slowloris
 //! 408, dead-peer write timeout), overload 503 + `Retry-After`, hostile
 //! framing (trickled heads, pipelining, mid-body disconnects), and
-//! bit-identity of chunked responses against the threaded front.
+//! bit-identity of chunked and `Content-Length` responses against direct
+//! engine execution.
 //!
 //! Everything here drives a real server over real loopback sockets.
 
@@ -16,7 +17,7 @@ use wp_server::demo::{demo_deployment, DemoSize};
 use wp_server::metrics::Metrics;
 use wp_server::protocol::{InferRequest, InferResponse};
 use wp_server::registry::ModelRegistry;
-use wp_server::server::{serve, FrontKind, ServerConfig, ServerHandle};
+use wp_server::server::{serve, ServerConfig, ServerHandle};
 use wp_server::MetricsSnapshot;
 
 fn demo_registry(batcher: BatcherConfig) -> Arc<ModelRegistry> {
@@ -267,51 +268,70 @@ fn dead_peer_write_timeout_closes() {
 }
 
 /// Queue saturation answers `503` with a `Retry-After` header instead of
-/// wedging the request — on both fronts.
+/// wedging the request.
 #[test]
-fn overload_gets_503_with_retry_after_on_both_fronts() {
-    for front in [FrontKind::Event, FrontKind::Threaded] {
-        // max_queue 2 with a single 4-plane request: planes 3 and 4 are
-        // rejected at submit, deterministically.
-        let batcher = BatcherConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(50),
-            max_queue: 2,
-            ..BatcherConfig::default()
-        };
-        let mut handle = start(ServerConfig { front, ..ServerConfig::default() }, batcher);
-        let net = handle.registry().get("demo").unwrap().net();
-        let inputs = net.fabricate_inputs(4, 7);
+fn overload_gets_503_with_retry_after() {
+    // max_queue 2 with a single 4-plane request: planes 3 and 4 are
+    // rejected at submit, deterministically.
+    let batcher = BatcherConfig {
+        max_batch: 64,
+        max_wait: Duration::from_millis(50),
+        max_queue: 2,
+        ..BatcherConfig::default()
+    };
+    let mut handle = start(ServerConfig::default(), batcher);
+    let net = handle.registry().get("demo").unwrap().net();
+    let inputs = net.fabricate_inputs(4, 7);
 
-        let (status, headers, body, _) =
-            infer_roundtrip(&handle, &InferRequest { model: None, inputs });
-        assert_eq!(status, 503, "{front:?}: {}", String::from_utf8_lossy(&body));
-        let retry = headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("retry-after"))
-            .map(|(_, v)| v.as_str());
-        assert_eq!(retry, Some("1"), "{front:?}: Retry-After missing: {headers:?}");
-        assert!(String::from_utf8_lossy(&body).contains("queue full"), "{front:?}");
+    let (status, headers, body, _) =
+        infer_roundtrip(&handle, &InferRequest { model: None, inputs });
+    assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
+    let retry = headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case("retry-after"))
+        .map(|(_, v)| v.as_str());
+    assert_eq!(retry, Some("1"), "Retry-After missing: {headers:?}");
+    assert!(String::from_utf8_lossy(&body).contains("queue full"));
 
-        // The server recovers once the stranded planes flush (≤ max_wait
-        // later): a sane request must succeed again.
-        let ok_input = handle.registry().get("demo").unwrap().net().fabricate_inputs(1, 8);
-        let recovered = Instant::now();
-        loop {
-            let (status, _, _, _) =
-                infer_roundtrip(&handle, &InferRequest { model: None, inputs: ok_input.clone() });
-            if status == 200 {
-                break;
-            }
-            assert_eq!(status, 503, "{front:?}: unexpected status {status}");
-            assert!(
-                recovered.elapsed() < Duration::from_secs(5),
-                "{front:?} did not recover after overload"
-            );
-            std::thread::sleep(Duration::from_millis(20));
+    // The server recovers once the stranded planes flush (≤ max_wait
+    // later): a sane request must succeed again.
+    let ok_input = handle.registry().get("demo").unwrap().net().fabricate_inputs(1, 8);
+    let recovered = Instant::now();
+    loop {
+        let (status, _, _, _) =
+            infer_roundtrip(&handle, &InferRequest { model: None, inputs: ok_input.clone() });
+        if status == 200 {
+            break;
         }
-        handle.shutdown();
+        assert_eq!(status, 503, "unexpected status {status}");
+        assert!(recovered.elapsed() < Duration::from_secs(5), "did not recover after overload");
+        std::thread::sleep(Duration::from_millis(20));
     }
+    handle.shutdown();
+}
+
+/// An infer target with a query string still reaches the batcher's
+/// callback path: the synchronous router has no infer endpoint.
+#[test]
+fn infer_with_a_query_string_is_served() {
+    let mut handle = start(ServerConfig::default(), quick_batcher());
+    let net = handle.registry().get("demo").unwrap().net();
+    let input = net.fabricate_inputs(1, 9).pop().unwrap();
+    let expected = net.run_one(&input);
+
+    let body = serde_json::to_string(&InferRequest { model: None, inputs: vec![input] }).unwrap();
+    let mut client = RespReader::connect(&handle);
+    write!(
+        client.stream,
+        "POST /v1/infer?debug=1 HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let (status, _, resp_body, _) = client.read_response();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp_body));
+    let resp: InferResponse = serde_json::from_str(&String::from_utf8(resp_body).unwrap()).unwrap();
+    assert_eq!(resp.outputs, vec![expected]);
+    handle.shutdown();
 }
 
 /// A request head split across dozens of tiny writes parses to exactly
@@ -402,51 +422,47 @@ fn mid_body_disconnect_is_reaped_cleanly() {
     handle.shutdown();
 }
 
-/// Responses that cross the chunked-encoding threshold on the event
-/// front must decode to exactly the bytes the threaded front sends with
-/// `Content-Length` framing — and small responses must stay identically
-/// framed on both fronts.
+/// A response that crosses the chunked-encoding threshold de-chunks to
+/// exactly the JSON built from direct `PreparedNet::run_batch` outputs,
+/// and a small response is the same JSON under `Content-Length` framing.
 #[test]
-fn chunked_responses_are_bit_identical_to_threaded_front() {
-    let serve_front = |front: FrontKind| {
-        serve(
-            ServerConfig { front, ..ServerConfig::default() },
-            demo_registry(BatcherConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(2),
-                ..BatcherConfig::default()
-            }),
-        )
-        .expect("bind")
-    };
-    let mut event = serve_front(FrontKind::Event);
-    let mut threaded = serve_front(FrontKind::Threaded);
-
-    let net = event.registry().get("demo").unwrap().net();
+fn chunked_responses_are_bit_identical_to_direct_execution() {
+    let mut handle = start(
+        ServerConfig::default(),
+        BatcherConfig {
+            max_batch: 64,
+            max_wait: Duration::from_millis(2),
+            ..BatcherConfig::default()
+        },
+    );
+    let net = handle.registry().get("demo").unwrap().net();
     // Enough planes that the response JSON crosses CHUNK_THRESHOLD.
     let big = InferRequest { model: None, inputs: net.fabricate_inputs(4000, 21) };
     let small = InferRequest { model: None, inputs: net.fabricate_inputs(1, 22) };
 
-    let fetch = |handle: &ServerHandle, req: &InferRequest| {
-        let (status, _, body, chunked) = infer_roundtrip(handle, req);
+    let fetch = |req: &InferRequest| {
+        let (status, _, body, chunked) = infer_roundtrip(&handle, req);
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body[..body.len().min(300)]));
         (body, chunked)
     };
+    let direct = |req: &InferRequest| {
+        let refs: Vec<&[i32]> = req.inputs.iter().map(|x| x.as_slice()).collect();
+        let outputs = net.run_batch(&refs);
+        serde_json::to_string(&InferResponse { model: "demo".into(), outputs })
+            .unwrap()
+            .into_bytes()
+    };
 
-    let (event_big, event_big_chunked) = fetch(&event, &big);
-    let (threaded_big, threaded_big_chunked) = fetch(&threaded, &big);
-    assert!(event_big.len() > 32 * 1024, "test must cross the chunk threshold");
-    assert!(event_big_chunked, "large event-front response must use chunked framing");
-    assert!(!threaded_big_chunked, "threaded front keeps Content-Length framing");
-    assert_eq!(event_big, threaded_big, "chunked body must be bit-identical to buffered body");
+    let (served_big, big_chunked) = fetch(&big);
+    assert!(served_big.len() > 32 * 1024, "test must cross the chunk threshold");
+    assert!(big_chunked, "large response must use chunked framing");
+    assert_eq!(served_big, direct(&big), "de-chunked body must be bit-identical");
 
-    let (event_small, event_small_chunked) = fetch(&event, &small);
-    let (threaded_small, _) = fetch(&threaded, &small);
-    assert!(!event_small_chunked, "small responses keep Content-Length on the event front");
-    assert_eq!(event_small, threaded_small);
+    let (served_small, small_chunked) = fetch(&small);
+    assert!(!small_chunked, "small responses keep Content-Length framing");
+    assert_eq!(served_small, direct(&small));
 
-    event.shutdown();
-    threaded.shutdown();
+    handle.shutdown();
 }
 
 /// The event front surfaces its own observability: connection counters
